@@ -107,6 +107,8 @@ type Frontend struct {
 	rr       int
 	relayed  uint64
 	probeSeq uint64
+
+	relayFree []*relay // relay records ready for reuse
 }
 
 // New starts a front-end process on env.
@@ -184,74 +186,138 @@ func (f *Frontend) pickFor(doc trace.DocID) cnet.NodeID {
 	return f.pick()
 }
 
-// acceptClient relays one request to a backend.
+// acceptClient relays one request to a backend, through a pooled relay
+// record.
 func (f *Frontend) acceptClient(client cnet.Conn) cnet.StreamHandlers {
-	var backendConn cnet.Conn
-	closed := false
-	closeBoth := func() {
-		if closed {
-			return
-		}
-		closed = true
-		client.Close()
-		if backendConn != nil {
-			backendConn.Close()
-			cnet.ReleaseConn(backendConn) // pin taken when the relay stored it
-		}
+	r := f.getRelay()
+	r.client = client
+	return r.ch
+}
+
+// relay is the state of one relayed client connection: the client, the
+// backend connection once its dial succeeds, and the request waiting for
+// that dial. Its five handlers are bound once, when the record is minted,
+// so relaying a request allocates nothing once the pool is warm.
+//
+// A record returns to the pool only when it is closed and its backend
+// dial has reported, so the dial result always finds the use that
+// started it. Handler calls queued before the close can still arrive
+// after the record was reused; each handler checks that its conn is the
+// record's current client or backend and ignores the call otherwise. The
+// check is sound because a queued call pins its conn, so no new
+// connection can reuse that conn while the call waits. Every client in
+// this repository opens a connection per request, so a record relays one
+// request; a second request on the same connection is ignored.
+type relay struct {
+	f       *Frontend
+	client  cnet.Conn
+	backend cnet.Conn
+	req     *server.ReqMsg // set while the backend dial is in flight
+	closed  bool
+	ch, bh  cnet.StreamHandlers // client-side and backend-side handlers
+	onDial  func(cnet.Conn, error)
+}
+
+func (f *Frontend) getRelay() *relay {
+	if n := len(f.relayFree); n > 0 {
+		r := f.relayFree[n-1]
+		f.relayFree[n-1] = nil
+		f.relayFree = f.relayFree[:n-1]
+		return r
 	}
-	return cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, m cnet.Message) {
-			req, ok := m.(*server.ReqMsg)
-			if !ok {
-				return
-			}
-			f.env.Charge(f.cfg.Cost)
-			target := f.pickFor(req.Doc)
-			if target == cnet.None {
-				closeBoth() // nothing healthy: the client sees a reset
-				return
-			}
-			f.relayed++
-			bh := cnet.StreamHandlers{
-				OnMessage: func(bc cnet.Conn, bm cnet.Message) {
-					// Relay the response and tear the pair down. The record
-					// is passed through unreleased: the client is the final
-					// consumer. After closeBoth ran, the client conn may have
-					// been recycled for a new connection — the old code relied
-					// on TrySend-on-closed being a silent drop, which pooling
-					// no longer guarantees.
-					if closed {
-						return
-					}
-					if resp, ok := bm.(*server.RespMsg); ok {
-						size := 128
-						if resp.OK {
-							size += 27 * 1024
-						}
-						client.TrySend(resp, size)
-					}
-				},
-				OnClose: func(bc cnet.Conn, err error) { closeBoth() },
-			}
-			f.env.Dial(target, cnet.ClassClient, server.PortHTTP, bh, func(bc cnet.Conn, err error) {
-				if closed {
-					if bc != nil {
-						bc.Close()
-					}
-					return
-				}
-				if err != nil {
-					// LVS does not retry: the loss is the client's.
-					closeBoth()
-					return
-				}
-				backendConn = bc
-				cnet.RetainConn(bc) // held by the relay until closeBoth
-				bc.TrySend(req, 256)
-			})
-		},
-		OnClose: func(c cnet.Conn, err error) { closeBoth() },
+	r := &relay{f: f}
+	r.ch = cnet.StreamHandlers{OnMessage: r.onClientMsg, OnClose: r.onClientClose}
+	r.bh = cnet.StreamHandlers{OnMessage: r.onBackendMsg, OnClose: r.onBackendClose}
+	r.onDial = r.dialResult
+	return r
+}
+
+// recycle returns a closed record to the pool once its dial has reported.
+func (r *relay) recycle() {
+	if !r.closed || r.req != nil {
+		return
 	}
+	r.client, r.backend, r.req = nil, nil, nil
+	r.closed = false
+	r.f.relayFree = append(r.f.relayFree, r)
+}
+
+func (r *relay) onClientMsg(c cnet.Conn, m cnet.Message) {
+	req, ok := m.(*server.ReqMsg)
+	if !ok || c != r.client || r.req != nil || r.backend != nil {
+		return
+	}
+	f := r.f
+	f.env.Charge(f.cfg.Cost)
+	target := f.pickFor(req.Doc)
+	if target == cnet.None {
+		r.closeBoth() // nothing healthy: the client sees a reset
+		return
+	}
+	f.relayed++
+	r.req = req
+	f.env.Dial(target, cnet.ClassClient, server.PortHTTP, r.bh, r.onDial)
+}
+
+func (r *relay) onClientClose(c cnet.Conn, err error) {
+	if c == r.client {
+		r.closeBoth()
+	}
+}
+
+// onBackendMsg relays the response and leaves the teardown to the
+// backend's close. The record is passed through unreleased: the client is
+// the final consumer.
+func (r *relay) onBackendMsg(bc cnet.Conn, bm cnet.Message) {
+	if r.closed || bc != r.backend {
+		return
+	}
+	if resp, ok := bm.(*server.RespMsg); ok {
+		size := 128
+		if resp.OK {
+			size += 27 * 1024
+		}
+		r.client.TrySend(resp, size)
+	}
+}
+
+func (r *relay) onBackendClose(bc cnet.Conn, err error) {
+	if bc == r.backend {
+		r.closeBoth()
+	}
+}
+
+func (r *relay) dialResult(bc cnet.Conn, err error) {
+	req := r.req
+	r.req = nil
+	if r.closed {
+		if bc != nil {
+			bc.Close()
+		}
+		r.recycle()
+		return
+	}
+	if err != nil {
+		// LVS does not retry: the loss is the client's.
+		r.closeBoth()
+		return
+	}
+	r.backend = bc
+	cnet.RetainConn(bc) // held by the relay until closeBoth
+	bc.TrySend(req, 256)
+}
+
+func (r *relay) closeBoth() {
+	if r.closed {
+		return
+	}
+	r.closed = true
+	r.client.Close()
+	if r.backend != nil {
+		r.backend.Close()
+		cnet.ReleaseConn(r.backend) // pin taken when the relay stored it
+	}
+	r.recycle()
 }
 
 // --- mon pinger -----------------------------------------------------------

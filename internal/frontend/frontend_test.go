@@ -272,3 +272,46 @@ func TestSFMEMasksIsolatedNode(t *testing.T) {
 		t.Fatalf("healthy = %d after reintegration", got)
 	}
 }
+
+// A relayed request once the pools are warm — client dial, relay record,
+// backend dial, response relayed back, both connections torn down — must
+// not allocate anywhere in the front-end, the machine layer or the
+// backend's request path. Monitoring is slowed out of the window so the
+// loop measures only the relay.
+func TestRelayAllocsPerRun(t *testing.T) {
+	w := newFEWorld(t, 3, frontend.Config{PingPeriod: time.Hour})
+	w.sim.RunFor(time.Second)
+
+	client := w.net.AddIface(2000)
+	req := &server.ReqMsg{Doc: 7} // no home pool: Release is a no-op
+	responses := 0
+	h := cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) {
+		if resp, ok := m.(*server.RespMsg); ok {
+			if resp.OK {
+				responses++
+			}
+			resp.Release()
+			c.Close()
+		}
+	}}
+	onDial := func(c cnet.Conn, err error) {
+		if err == nil {
+			c.TrySend(req, 256)
+		}
+	}
+	request := func() {
+		client.Dial(100, cnet.ClassClient, server.PortHTTP, h, onDial)
+		w.sim.RunFor(50 * time.Millisecond)
+	}
+	for i := 0; i < 64; i++ {
+		request() // warm every pool on the path
+	}
+	before := responses
+	per := testing.AllocsPerRun(100, request)
+	if per != 0 {
+		t.Errorf("warm relayed request allocates %.2f objects; want 0", per)
+	}
+	if got := responses - before; got != 101 {
+		t.Fatalf("%d of 101 requests answered through the front-end", got)
+	}
+}

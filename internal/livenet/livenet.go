@@ -479,6 +479,10 @@ func (t *tcpConn) readLoop() {
 			if isReset(err) {
 				e = cnet.ErrReset
 			}
+			// The peer is gone: release the socket and its closer entry
+			// now, as simnet's close delivery does, so a long-running
+			// process does not keep one fd per finished connection.
+			t.Close()
 			if t.env.alive() && t.h.OnClose != nil {
 				t.env.post(func() { t.h.OnClose(t, e) })
 			}
@@ -573,8 +577,11 @@ func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamH
 			tc.abort()
 			return
 		}
-		go tc.readLoop()
+		// Queue the result before the read loop can queue anything, so the
+		// dialer sees its conn before any of the conn's handlers run, as
+		// in the simulator.
 		e.post(func() { result(tc, nil) })
+		go tc.readLoop()
 	}()
 }
 

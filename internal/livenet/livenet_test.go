@@ -228,3 +228,59 @@ func TestLivePressClusterFormsAndServes(t *testing.T) {
 	})
 	waitFor(t, "live request served", ok.Load)
 }
+
+// closerCount reads how many sockets and listeners an env still holds.
+func closerCount(p *Proc) int {
+	p.mu.Lock()
+	e := p.env
+	p.mu.Unlock()
+	e.resMu.Lock()
+	defer e.resMu.Unlock()
+	return len(e.closers)
+}
+
+// A server that never closes its end of a finished connection, as PRESS's
+// client path does not, must still release the socket once the client
+// hangs up: the read loop closes it on EOF. Otherwise the env keeps one
+// fd and one closer entry per request served.
+func TestPeerCloseReleasesSocket(t *testing.T) {
+	w := NewWorld(1)
+	a := w.AddNode(0)
+	b := w.AddNode(1)
+	listening := make(chan struct{})
+	srv := b.Spawn("srv", func(env cnet.Env) {
+		env.Listen("press", func(c cnet.Conn) cnet.StreamHandlers {
+			return cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) {
+				c.TrySend(&server.RespMsg{OK: true}, 128)
+			}}
+		})
+		close(listening)
+	})
+	<-listening
+	base := closerCount(srv) // the listener itself
+
+	const cycles = 100
+	var done atomic.Int32
+	a.Spawn("cli", func(env cnet.Env) {
+		var dial func()
+		dial = func() {
+			env.Dial(1, cnet.ClassIntra, "press", cnet.StreamHandlers{
+				OnMessage: func(c cnet.Conn, m cnet.Message) {
+					c.Close()
+					if done.Add(1) < cycles {
+						dial()
+					}
+				},
+			}, func(c cnet.Conn, err error) {
+				if err != nil {
+					env.Clock().AfterFunc(20*time.Millisecond, dial)
+					return
+				}
+				c.TrySend(&server.ReqMsg{ID: 1, Doc: 2}, 256)
+			})
+		}
+		dial()
+	})
+	waitFor(t, "request/close cycles", func() bool { return done.Load() == cycles })
+	waitFor(t, "server sockets released", func() bool { return closerCount(srv) <= base })
+}

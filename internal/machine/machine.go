@@ -245,6 +245,7 @@ type Proc struct {
 	resume      resumeRec
 	env         *Env
 	conns       []simnet.StreamConn
+	pauseConns  []simnet.StreamConn //availlint:skipfield pauseConns scratch for syncConnPause, empty between calls
 
 	// timerSeq numbers every proc-clock timer ever armed, monotonically
 	// across incarnations, giving components a serializable identity for
@@ -493,13 +494,18 @@ func (p *Proc) pump() {
 func (p *Proc) syncConnPause() {
 	paused := p.hung || p.stalled
 	// Unpausing drains buffered messages, which can close connections and
-	// mutate p.conns via the close hook: iterate a snapshot.
-	conns := append([]simnet.StreamConn(nil), p.conns...)
-	for _, c := range conns {
+	// mutate p.conns via the close hook: iterate a copy, kept in a reused
+	// scratch slice. The scratch is detached while in use, so a nested call
+	// (a drained handler that stalls again) copies into its own.
+	conns := append(p.pauseConns[:0], p.conns...)
+	p.pauseConns = nil
+	for i, c := range conns {
+		conns[i] = nil
 		if c != nil {
 			c.SetPaused(paused)
 		}
 	}
+	p.pauseConns = conns[:0]
 }
 
 func (p *Proc) adoptConn(c simnet.StreamConn, wr *wrapRec) {

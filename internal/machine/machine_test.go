@@ -344,3 +344,114 @@ func TestStallPausesStreamReads(t *testing.T) {
 		t.Fatalf("got = %d after resume", got)
 	}
 }
+
+// dialMany opens n streams from a fresh client machine to a server
+// process on a second machine and returns the client ends, after every
+// handshake completed.
+func dialMany(t *testing.T, w *world, n int, h cnet.StreamHandlers) (server *Proc, client []cnet.Conn) {
+	t.Helper()
+	a := New(w.sim, w.net, 0, nil, w.log)
+	b := New(w.sim, w.net, 1, nil, w.log)
+	var envA *Env
+	a.AddProc("client", func(e *Env) { envA = e })
+	b.AddProc("server", func(e *Env) {
+		e.Listen("press", func(c cnet.Conn) cnet.StreamHandlers { return h })
+	})
+	for i := 0; i < n; i++ {
+		envA.Dial(1, cnet.ClassIntra, "press", cnet.StreamHandlers{}, func(c cnet.Conn, err error) {
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			client = append(client, c)
+		})
+	}
+	w.sim.RunFor(time.Second)
+	server = b.Proc("server")
+	if len(client) != n || len(server.conns) != n {
+		t.Fatalf("%d client and %d server conns, want %d", len(client), len(server.conns), n)
+	}
+	return server, client
+}
+
+// A stall/resume cycle on a process holding many connections runs on a
+// reused scratch slice: once warm, it allocates nothing.
+func TestStallResumeAllocsPerRun(t *testing.T) {
+	w := newWorld()
+	p, _ := dialMany(t, w, 200, cnet.StreamHandlers{})
+	cycle := func() {
+		p.env.Stall()
+		p.env.Resume()
+	}
+	cycle()
+	if per := testing.AllocsPerRun(100, cycle); per != 0 {
+		t.Errorf("stall/resume cycle over 200 conns allocates %.2f objects; want 0", per)
+	}
+}
+
+// A handler drained by Resume can stall the process again, re-entering
+// syncConnPause while the outer call still iterates. The nested call
+// must copy into its own scratch: a shared one would be overwritten and
+// then nil'ed under the outer loop, leaving the rest of the conns paused.
+// With separate copies the outer loop goes on un-pausing the remaining
+// conns after the nested stall, so the stalled process keeps reading on
+// them (a known departure, pinned here so a fix is deliberate).
+func TestNestedStallFromDrainedHandler(t *testing.T) {
+	w := newWorld()
+	handled := 0
+	var p *Proc
+	p, client := dialMany(t, w, 4, cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) {
+		handled++
+		if handled == 1 {
+			p.env.Stall()
+		}
+	}})
+	first := p.conns[0]
+
+	p.env.Stall()
+	for _, c := range client {
+		c.TrySend("x", 10)
+	}
+	w.sim.RunFor(time.Second)
+	for i, c := range p.conns {
+		if c.Buffered() != 1 {
+			t.Fatalf("conn %d buffered %d messages while stalled, want 1", i, c.Buffered())
+		}
+	}
+
+	p.env.Resume()
+	if handled != 1 || !p.Stalled() {
+		t.Fatalf("handled %d, stalled %v after Resume; want 1 handler that stalled again", handled, p.Stalled())
+	}
+	if len(p.pauseConns) != 0 {
+		t.Fatalf("scratch holds %d conns after the cycle", len(p.pauseConns))
+	}
+	for i, c := range p.pauseConns[:cap(p.pauseConns)] {
+		if c != nil {
+			t.Fatalf("scratch slot %d still references a conn", i)
+		}
+	}
+	// The outer loop un-paused every conn after the first: their
+	// messages left the socket for the (stalled) mailbox.
+	if got := p.MailboxLen(); got != 3 {
+		t.Fatalf("mailbox holds %d entries, want 3", got)
+	}
+	for _, c := range client {
+		c.TrySend("y", 10)
+	}
+	w.sim.RunFor(time.Second)
+	for i, c := range p.conns {
+		want := 0 // still reading despite the stall
+		if c == first {
+			want = 1 // paused by the nested stall
+		}
+		if c.Buffered() != want {
+			t.Errorf("conn %d buffered %d, want %d", i, c.Buffered(), want)
+		}
+	}
+	p.env.Resume()
+	w.sim.RunFor(time.Second)
+	if handled != 8 {
+		t.Fatalf("handled %d messages after the final Resume, want 8", handled)
+	}
+}

@@ -124,17 +124,20 @@ func (c *docCache) Docs() []trace.DocID {
 // directory tracks which cluster nodes cache which documents, fed by
 // broadcast announcements and Hello exchanges. Node sets are bitmasks
 // indexed by position in the static node list. Clusters up to 64 nodes
-// use one word per document (the faithful layout, unchanged down to the
-// snapshot bytes); larger clusters spill into multi-word masks.
+// use one word per document, dense by DocID like docCache.index (the
+// faithful layout); larger clusters spill into multi-word masks.
 type directory struct {
-	bits  map[trace.DocID]uint64
+	bits  []uint64                 // one mask per DocID, grown on demand; used iff words == 1
+	held  int                      // documents with a nonzero mask in bits
 	wide  map[trace.DocID][]uint64 // multi-word masks; used iff words > 1
 	words int
 	idx   map[cnet.NodeID]uint //availlint:skipfield idx static bit-position table, rebuilt by the constructor
 	nodes []cnet.NodeID        //availlint:skipfield nodes static bit-position table, rebuilt by the constructor
 }
 
-func newDirectory(nodes []cnet.NodeID) *directory {
+// newDirectory builds an empty directory over nodes; docs sizes the
+// single-word layout for a catalog numbered from zero.
+func newDirectory(nodes []cnet.NodeID, docs int) *directory {
 	d := &directory{
 		idx:   make(map[cnet.NodeID]uint),
 		nodes: append([]cnet.NodeID(nil), nodes...),
@@ -145,11 +148,44 @@ func newDirectory(nodes []cnet.NodeID) *directory {
 	d.words = (len(nodes) + 63) / 64
 	if d.words <= 1 {
 		d.words = 1
-		d.bits = make(map[trace.DocID]uint64)
+		d.bits = make([]uint64, docs)
 	} else {
 		d.wide = make(map[trace.DocID][]uint64)
 	}
 	return d
+}
+
+// mask returns doc's single-word mask, 0 when nothing is recorded.
+func (d *directory) mask(doc trace.DocID) uint64 {
+	if doc < 0 || int(doc) >= len(d.bits) {
+		return 0
+	}
+	return d.bits[doc]
+}
+
+// setMask stores doc's single-word mask, widening bits to cover doc and
+// keeping the held count. Catalog DocIDs start at zero; a negative one
+// (a malformed peer message) is not recorded.
+func (d *directory) setMask(doc trace.DocID, m uint64) {
+	if doc < 0 {
+		return
+	}
+	if int(doc) >= len(d.bits) {
+		if m == 0 {
+			return
+		}
+		grown := make([]uint64, int(doc)+1)
+		copy(grown, d.bits)
+		d.bits = grown
+	}
+	old := d.bits[doc]
+	d.bits[doc] = m
+	switch {
+	case old == 0 && m != 0:
+		d.held++
+	case old != 0 && m == 0:
+		d.held--
+	}
 }
 
 // Set records (or clears) that node caches doc.
@@ -181,13 +217,10 @@ func (d *directory) Set(node cnet.NodeID, doc trace.DocID, cached bool) {
 		return
 	}
 	if cached {
-		d.bits[doc] |= 1 << bit
+		d.setMask(doc, d.mask(doc)|1<<bit)
 		return
 	}
-	d.bits[doc] &^= 1 << bit
-	if d.bits[doc] == 0 {
-		delete(d.bits, doc)
-	}
+	d.setMask(doc, d.mask(doc)&^(1<<bit))
 }
 
 // Holders returns the nodes (from candidates) recorded as caching doc.
@@ -202,8 +235,7 @@ func (d *directory) Holds(doc trace.DocID, n cnet.NodeID) bool {
 		mask := d.wide[doc]
 		return mask != nil && mask[bit/64]&(1<<(bit%64)) != 0
 	}
-	mask := d.bits[doc]
-	return mask&(1<<bit) != 0
+	return d.mask(doc)&(1<<bit) != 0
 }
 
 // eachHolder calls fn for every node recorded as caching doc, in
@@ -222,7 +254,7 @@ func (d *directory) eachHolder(doc trace.DocID, fn func(cnet.NodeID)) {
 		}
 		return
 	}
-	w := d.bits[doc]
+	w := d.mask(doc)
 	for w != 0 {
 		b := mbits.TrailingZeros64(w)
 		w &= w - 1
@@ -263,11 +295,8 @@ func (d *directory) DropNode(node cnet.NodeID) {
 		return
 	}
 	for doc, mask := range d.bits {
-		mask &^= 1 << bit
-		if mask == 0 {
-			delete(d.bits, doc)
-		} else {
-			d.bits[doc] = mask
+		if mask&(1<<bit) != 0 {
+			d.setMask(trace.DocID(doc), mask&^(1<<bit))
 		}
 	}
 }
@@ -277,5 +306,5 @@ func (d *directory) Entries() int {
 	if d.words > 1 {
 		return len(d.wide)
 	}
-	return len(d.bits)
+	return d.held
 }

@@ -81,7 +81,7 @@ func TestQuickDocCacheBounded(t *testing.T) {
 
 func TestDirectorySetAndHolders(t *testing.T) {
 	nodes := []cnet.NodeID{0, 1, 2, 3}
-	d := newDirectory(nodes)
+	d := newDirectory(nodes, 0)
 	d.Set(1, 7, true)
 	d.Set(3, 7, true)
 	holders := d.Holders(7, nodes)
@@ -101,7 +101,7 @@ func TestDirectorySetAndHolders(t *testing.T) {
 
 func TestDirectoryDropNode(t *testing.T) {
 	nodes := []cnet.NodeID{0, 1}
-	d := newDirectory(nodes)
+	d := newDirectory(nodes, 0)
 	d.Set(0, 1, true)
 	d.Set(1, 1, true)
 	d.Set(1, 2, true)
@@ -118,7 +118,7 @@ func TestDirectoryDropNode(t *testing.T) {
 }
 
 func TestDirectoryUnknownNodeIgnored(t *testing.T) {
-	d := newDirectory([]cnet.NodeID{0, 1})
+	d := newDirectory([]cnet.NodeID{0, 1}, 0)
 	d.Set(99, 5, true) // not in the static node list
 	if h := d.Holders(5, []cnet.NodeID{0, 1, 99}); len(h) != 0 {
 		t.Fatalf("unknown node recorded: %v", h)
@@ -132,7 +132,7 @@ func TestQuickDirectoryConsistency(t *testing.T) {
 	nodes := []cnet.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := newDirectory(nodes)
+		d := newDirectory(nodes, 0)
 		last := map[[2]int]bool{}
 		for i := 0; i < 200; i++ {
 			n := cnet.NodeID(rng.Intn(8))
@@ -141,17 +141,43 @@ func TestQuickDirectoryConsistency(t *testing.T) {
 			d.Set(n, doc, cached)
 			last[[2]int{int(n), int(doc)}] = cached
 		}
+		held := 0
 		for doc := trace.DocID(0); doc < 20; doc++ {
-			for _, h := range d.Holders(doc, nodes) {
+			hs := d.Holders(doc, nodes)
+			for _, h := range hs {
 				if !last[[2]int{int(h), int(doc)}] {
 					return false
 				}
 			}
+			if len(hs) > 0 {
+				held++
+			}
 		}
-		return true
+		return d.Entries() == held
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Recording and clearing a holder in the single-word layout touches one
+// dense slot: no allocation once the slice covers the catalog.
+func TestDirectorySetAllocsPerRun(t *testing.T) {
+	nodes := []cnet.NodeID{0, 1, 2, 3}
+	d := newDirectory(nodes, 100)
+	doc := trace.DocID(0)
+	setClear := func() {
+		d.Set(2, doc, true)
+		d.Set(3, doc, true)
+		d.Set(2, doc, false)
+		d.Set(3, doc, false)
+		doc = (doc + 1) % 100
+	}
+	if per := testing.AllocsPerRun(1000, setClear); per != 0 {
+		t.Errorf("directory set/clear allocates %.2f objects; want 0", per)
+	}
+	if d.Entries() != 0 {
+		t.Fatalf("Entries = %d after clearing every holder", d.Entries())
 	}
 }
 

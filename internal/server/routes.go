@@ -44,7 +44,10 @@ func (s *Server) onClientClose(c cnet.Conn, err error) {
 	// Also drop it from the accept queue if it never got a slot.
 	for i := s.acceptHead; i < len(s.acceptQ); i++ {
 		if s.acceptQ[i].conn == c {
-			s.acceptQ = append(s.acceptQ[:i], s.acceptQ[i+1:]...)
+			last := len(s.acceptQ) - 1
+			copy(s.acceptQ[i:], s.acceptQ[i+1:])
+			s.acceptQ[last] = pendingReq{}
+			s.acceptQ = s.acceptQ[:last]
 			break
 		}
 	}
@@ -73,11 +76,26 @@ func (s *Server) handleRequest(c cnet.Conn, req *ReqMsg) {
 		// No service slot: the request waits unserved. Under a stuck-peer
 		// fault this queue is where cluster throughput goes to die. The
 		// accept/parse cost is charged on admission.
-		s.acceptQ = append(s.acceptQ, pendingReq{conn: c, msg: req})
+		s.queueAccept(pendingReq{conn: c, msg: req})
 		return
 	}
 	s.env.Charge(s.cfg.Cost.Accept)
 	s.admit(c, req)
+}
+
+// queueAccept appends to the accept backlog. The backlog is a queue
+// consumed at acceptHead; a standing backlog never drains fully, so
+// append-only growth would reallocate forever. When the storage is full,
+// slide the backlog over the spent prefix and zero the vacated tail, as
+// the process mailbox does.
+func (s *Server) queueAccept(pr pendingReq) {
+	if s.acceptHead > 0 && len(s.acceptQ) == cap(s.acceptQ) {
+		n := copy(s.acceptQ, s.acceptQ[s.acceptHead:])
+		clear(s.acceptQ[n:])
+		s.acceptQ = s.acceptQ[:n]
+		s.acceptHead = 0
+	}
+	s.acceptQ = append(s.acceptQ, pr)
 }
 
 func (s *Server) admit(c cnet.Conn, req *ReqMsg) {

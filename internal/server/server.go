@@ -124,7 +124,7 @@ func newServer(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *S
 		disk:           disk,
 		memb:           memb,
 		cache:          newDocCache(cfg.Catalog.DocsFitting(cfg.CacheBytes), cfg.Catalog.Docs),
-		dir:            newDirectory(cfg.Nodes),
+		dir:            newDirectory(cfg.Nodes, cfg.Catalog.Docs),
 		inflight:       make(map[uint64]*reqState),
 		clientOf:       make(map[cnet.Conn]uint64),
 		inboundFrom:    make(map[cnet.Conn]cnet.NodeID),

@@ -234,15 +234,12 @@ func (s *Server) SaveState(ctx *snapio.Ctx) {
 			}
 		}
 	} else {
-		dirDocs := make([]trace.DocID, 0, len(s.dir.bits))
-		for doc := range s.dir.bits {
-			dirDocs = append(dirDocs, doc)
-		}
-		sort.Slice(dirDocs, func(i, j int) bool { return dirDocs[i] < dirDocs[j] })
-		e.Int(len(dirDocs))
-		for _, doc := range dirDocs {
-			e.I64(int64(doc))
-			e.U64(s.dir.bits[doc])
+		e.Int(s.dir.held)
+		for doc, w := range s.dir.bits {
+			if w != 0 {
+				e.I64(int64(doc))
+				e.U64(w)
+			}
 		}
 	}
 
@@ -485,7 +482,10 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 	} else {
 		for k := d.Count(1 << 24); k > 0; k-- {
 			doc := trace.DocID(d.I64())
-			s.dir.bits[doc] = d.U64()
+			if doc < 0 || doc >= 1<<24 {
+				snapio.Failf("directory doc %d out of range", doc)
+			}
+			s.dir.setMask(doc, d.U64())
 		}
 	}
 

@@ -427,14 +427,13 @@ type batchPkt struct {
 
 // sendBatch schedules the whole recipient list of a multicast as one
 // delivery event. Per-recipient loss decisions are made here, at send
-// time — the same point the unbatched path draws them — so the loss-rng
-// stream is consumed in the identical order, and a recipient dropped on
-// its degraded link never enters the batch (the unbatched path schedules
-// no event for it either). The single event carries the earliest
-// (loss-undelayed) arrival; per-recipient lossLat skew collapses to the
-// batch instant only for gray-degraded recipients, which the scalable
-// campaigns this path serves do not combine with batching-sensitive
-// assertions — and Faithful runs never take this path at all.
+// time, in member order — the same point and order the unbatched path
+// draws them — so the loss-rng stream is consumed identically, and a
+// recipient dropped on its degraded link never enters the batch (the
+// unbatched path schedules no event for it either). A degraded link that
+// also adds latency takes the recipient past the batch instant, so it
+// leaves the batch and goes down the per-datagram path, which makes the
+// same draw and schedules the delayed arrival.
 func (n *Network) sendBatch(arrive time.Duration, src *Iface, port string, m cnet.Message, members []*Iface) {
 	var bp *batchPkt
 	if k := len(n.batchFree); k > 0 {
@@ -448,6 +447,10 @@ func (n *Network) sendBatch(arrive time.Duration, src *Iface, port string, m cne
 			continue
 		}
 		if src.lossDrop > 0 || dst.lossDrop > 0 {
+			if src.lossLat+dst.lossLat > 0 {
+				n.sendDgram(arrive, src, dst, cnet.ClassIntra, port, m)
+				continue
+			}
 			drop := 1 - (1-src.lossDrop)*(1-dst.lossDrop)
 			if n.lossRng.Float64() < drop {
 				continue
