@@ -43,7 +43,7 @@
 // skips the warm ramp entirely and forks the campaign from a previously
 // written snapshot file; the snapshot's envelope supplies the version
 // and world options, so -version/-fast are ignored. Snapshot-backed
-// campaigns are supported on the INDEP and COOP versions.
+// campaigns are supported on every version from INDEP through FME.
 package main
 
 import (

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,6 +91,82 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 				diffAt(t, "restored run", want, got)
 			}
 		})
+	}
+}
+
+// TestSnapshotRestoreByteIdenticalFME is the same bar on the widest
+// snapshot-capable world: the golden FME compound schedule (an app
+// crash overlapping a link flap, then a hang FME converts) paused at the
+// warm-fork point, mid compound fault, mid hang while the FME daemon
+// probes, and in the recovery tail. Every pause must be free and every
+// restored run byte-identical, front-end relays, membership 2PC and
+// in-flight FME probe rounds included.
+func TestSnapshotRestoreByteIdenticalFME(t *testing.T) {
+	o := fastOpts(1)
+	rc := fastRun()
+	sched := goldenChaosSchedule()
+
+	base, err := RunUncached(harness.VFME, o, sched, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := base.Serialize()
+
+	// t0 = 70s; the crash and the flap overlap over 85s..100s, the hang
+	// runs 130s..170s.
+	for _, at := range []time.Duration{70 * time.Second, 92 * time.Second, 151 * time.Second, 205 * time.Second} {
+		at := at
+		t.Run(at.String(), func(t *testing.T) {
+			paused, snap, err := RunWithSnapshotAt(harness.VFME, o, sched, rc, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := paused.Serialize(); !bytes.Equal(got, want) {
+				diffAt(t, "paused run", want, got)
+			}
+			res, err := ResumeUncached(snap, sched, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Serialize(); !bytes.Equal(got, want) {
+				diffAt(t, "restored run", want, got)
+			}
+		})
+	}
+}
+
+// TestWarmForkFMEMatchesCold forks generated schedules from one warm FME
+// world at 90% of saturation (the CLI's fast warm-fork campaign) and
+// compares each with its cold run. Seed 4's schedule also pins a crash
+// the cold path had: a handler drained by Resume closed a later conn,
+// the network recycled it, and the resuming loop touched it.
+func TestWarmForkFMEMatchesCold(t *testing.T) {
+	v := harness.VFME
+	o := harness.FastOptions(1)
+	o.Rate = 0.9 * harness.Saturation(v, harness.FastOptions(1))
+	seeds := Seeds(4)
+	if testing.Short() {
+		seeds = seeds[3:]
+	}
+	snap, err := WarmSnapshot(v, o, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
+		genOpts := o
+		genOpts.Seed = seed
+		sched := Generate(seed, v, genOpts, GenConfig{})
+		cold, err := RunUncached(v, o, sched, RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork, err := ResumeUncached(snap, sched, RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, got := cold.Serialize(), fork.Serialize(); !bytes.Equal(got, want) {
+			diffAt(t, fmt.Sprintf("seed %d warm fork", seed), want, got)
+		}
 	}
 }
 

@@ -58,6 +58,27 @@ type Clock interface {
 	Every(d time.Duration, fn func()) Ticker
 }
 
+// Scheduler is implemented by clocks that can arm a one-shot callback
+// without minting a Timer handle. It returns the timer's serial: the
+// identity snapshot code re-claims a pending callback by (0 when the
+// clock numbers no timers or refused the timer).
+type Scheduler interface {
+	Schedule(d time.Duration, fn func()) (serial uint64)
+}
+
+// Schedule arms fn on c once, d from now, for callers that never stop
+// the timer. On a Scheduler (the simulated process clock) no handle is
+// minted, so a fire-and-forget timer allocates nothing, and the serial
+// is returned; elsewhere it falls back to AfterFunc and returns 0.
+// Callers that may need Stop keep using AfterFunc.
+func Schedule(c Clock, d time.Duration, fn func()) (serial uint64) {
+	if s, ok := c.(Scheduler); ok {
+		return s.Schedule(d, fn)
+	}
+	c.AfterFunc(d, fn)
+	return 0
+}
+
 // Real is a Clock backed by the operating system clock. The zero value is
 // not usable; call NewReal.
 type Real struct {

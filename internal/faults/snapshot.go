@@ -68,6 +68,9 @@ func (in *Injector) LoadState(ctx *snapio.Ctx) {
 		a.Flap.Off = d.Dur()
 		a.Severity = d.F64()
 		a.Group = d.Int()
+		if !in.slotInRange(a.Type, a.Component) {
+			snapio.Failf("faults: active slot %d/%d names no component of this world", int(a.Type), a.Component)
+		}
 		if d.Bool() {
 			a.undo = in.undoFor(a.Type, a.Component)
 		}
@@ -81,5 +84,24 @@ func (in *Injector) LoadState(ctx *snapio.Ctx) {
 			snapio.Failf("faults: duplicate active slot %v/%d in snapshot", a.Type, a.Component)
 		}
 		in.active[key] = a
+	}
+}
+
+// slotInRange reports whether (t, c) names a component of the injector's
+// targets, the precondition undoFor indexes under.
+func (in *Injector) slotInRange(t Type, c int) bool {
+	switch {
+	case t < 0 || t >= numTypes:
+		return false
+	case t == SwitchDown:
+		return true
+	case t == FrontendFailure:
+		return in.t.Frontend != nil
+	case t == SCSITimeout || t == DiskDegraded:
+		n := c / 2
+		return c >= 0 && n < len(in.t.Machines) && in.t.Machines[n].Disks() != nil &&
+			c%2 < len(in.t.Machines[n].Disks().Disks())
+	default:
+		return c >= 0 && c < len(in.t.Machines)
 	}
 }

@@ -74,11 +74,11 @@ func (c Config) withDefaults() Config {
 
 // Daemon is one node's FME process.
 type Daemon struct {
-	cfg  Config
-	src  metrics.SourceID // interned "fme/<self>" tag
-	env  cnet.Env
-	disk Disk
-	ctl  Control
+	cfg  Config           //availlint:skipfield cfg construction config, identical across restores
+	src  metrics.SourceID //availlint:skipfield src interned "fme/<self>" tag, rebuilt by the constructor
+	env  cnet.Env         //availlint:skipfield env process backlink, supplied by the restore constructor
+	disk Disk             //availlint:skipfield disk disk backlink, supplied by the restore constructor
+	ctl  Control          //availlint:skipfield ctl node-control surface, supplied by the restore constructor
 
 	appStrikes int // consecutive unresponsive HTTP probes
 	probeSeq   uint64
@@ -89,13 +89,31 @@ type Daemon struct {
 	// both probe verdicts are in, so the next tick is a full ProbePeriod
 	// after the decision, not after the probes were sent.
 	probeT clock.Ticker
+
+	// probes holds the probe rounds still in progress: a verdict, the
+	// app probe's timeout, its dial or its connection outstanding.
+	probes []*probe
+
+	// diskTag and dialTag, when the environment supports them, tag each
+	// round's disk probe and dial with the round for snapshot identity.
+	diskTag interface{ SetNextOwner(owner any) } //availlint:skipfield diskTag environment capability, re-derived by the constructor
+	dialTag cnet.DialTagger                      //availlint:skipfield dialTag environment capability, re-derived by the constructor
 }
 
 // NewDaemon starts the FME daemon.
 func NewDaemon(cfg Config, env cnet.Env, disk Disk, ctl Control) *Daemon {
+	d := newDaemon(cfg, env, disk, ctl)
+	d.probeT = d.env.Clock().Every(d.cfg.ProbePeriod, d.tick)
+	return d
+}
+
+// newDaemon builds the daemon without scheduling anything: shared by
+// NewDaemon and the snapshot restore path.
+func newDaemon(cfg Config, env cnet.Env, disk Disk, ctl Control) *Daemon {
 	d := &Daemon{cfg: cfg.withDefaults(), env: env, disk: disk, ctl: ctl}
 	d.src = metrics.InternSource(fmt.Sprintf("fme/%d", d.cfg.Self))
-	d.probeT = d.env.Clock().Every(d.cfg.ProbePeriod, d.tick)
+	d.diskTag, _ = disk.(interface{ SetNextOwner(owner any) })
+	d.dialTag, _ = env.(cnet.DialTagger)
 	return d
 }
 
@@ -119,73 +137,144 @@ func (d *Daemon) tick() {
 	// Suppress the automatic rearm up front: decide() revives the ticker,
 	// and doing it first keeps a synchronous probe completion safe.
 	d.probeT.Stop()
-	var (
-		diskHealthy *bool
-		appState    *appProbeResult
-	)
-	decide := func() {
-		if diskHealthy == nil || appState == nil {
-			return
-		}
-		d.decide(*diskHealthy, *appState)
-		d.probeT.Reschedule(d.cfg.ProbePeriod)
+	p := d.newProbe()
+	if d.diskTag != nil {
+		d.diskTag.SetNextOwner(p)
 	}
-	d.disk.Probe(d.cfg.ProbeTimeout, func(h bool) {
-		diskHealthy = &h
-		decide()
-	})
-	d.probeApp(func(r appProbeResult) {
-		appState = &r
-		decide()
-	})
+	d.disk.Probe(d.cfg.ProbeTimeout, p.diskDone)
+	p.probeApp()
+}
+
+// probe is one round: a disk probe and an HTTP probe of the local
+// server, decided once both verdicts are in.
+type probe struct {
+	d *Daemon //availlint:skipfield d owner backlink, set when the round is created
+
+	diskIn, diskHealthy bool
+	appIn               bool // the HTTP probe finished
+	app                 appProbeResult
+
+	conn       cnet.Conn // the probe connection once the dial succeeds
+	connOpen   bool      // conn not yet closed
+	dialing    bool      // the dial has not reported
+	timeoutSer uint64    // the pending timeout's serial (0: fired)
+
+	h      cnet.StreamHandlers    //availlint:skipfield h bound handler set, rebuilt when the round is created
+	onDial func(cnet.Conn, error) //availlint:skipfield onDial bound dial callback, rebuilt when the round is created
+}
+
+func (d *Daemon) newProbe() *probe {
+	p := &probe{d: d}
+	p.h = cnet.StreamHandlers{OnMessage: p.onMessage, OnClose: p.onClose}
+	p.onDial = p.dialResult
+	d.probes = append(d.probes, p)
+	return p
 }
 
 // probeApp sends one HTTP probe to the local server.
-func (d *Daemon) probeApp(done func(appProbeResult)) {
-	finished := false
-	finish := func(r appProbeResult) {
-		if finished {
-			return
-		}
-		finished = true
-		done(r)
-	}
+func (p *probe) probeApp() {
+	d := p.d
 	d.probeSeq++
-	var conn cnet.Conn
-	d.env.Clock().AfterFunc(d.cfg.ProbeTimeout, func() {
-		if conn != nil {
-			conn.Close()
-			cnet.ReleaseConn(conn) // pin taken when the dial stored it
-		}
-		finish(appUnresponsive)
-	})
-	h := cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, m cnet.Message) {
-			if resp, ok := m.(*server.RespMsg); ok && resp.Probe {
-				resp.Release()
-				c.Close()
-				finish(appResponsive)
-			}
-		},
-		OnClose: func(c cnet.Conn, err error) {
-			if errors.Is(err, cnet.ErrReset) {
-				finish(appDead)
-			}
-		},
+	p.timeoutSer = clock.Schedule(d.env.Clock(), d.cfg.ProbeTimeout, p.timeout)
+	p.dialing = true
+	if d.dialTag != nil {
+		d.dialTag.TagNextDial(p)
 	}
-	d.env.Dial(d.env.Local(), cnet.ClassClient, server.PortHTTP, h, func(c cnet.Conn, err error) {
-		if err != nil {
-			if errors.Is(err, cnet.ErrRefused) {
-				finish(appDead)
-				return
-			}
-			finish(appUnresponsive)
+	d.env.Dial(d.env.Local(), cnet.ClassClient, server.PortHTTP, p.h, p.onDial)
+}
+
+func (p *probe) timeout() {
+	p.timeoutSer = 0
+	if p.conn != nil {
+		p.conn.Close()
+		p.connOpen = false
+		cnet.ReleaseConn(p.conn) // pin taken when the dial stored it
+	}
+	p.finish(appUnresponsive)
+	p.retire()
+}
+
+func (p *probe) onMessage(c cnet.Conn, m cnet.Message) {
+	if resp, ok := m.(*server.RespMsg); ok && resp.Probe {
+		resp.Release()
+		c.Close()
+		if c == p.conn {
+			p.connOpen = false
+		}
+		p.finish(appResponsive)
+		p.retire()
+	}
+}
+
+func (p *probe) onClose(c cnet.Conn, err error) {
+	if c == p.conn {
+		p.connOpen = false
+	}
+	if errors.Is(err, cnet.ErrReset) {
+		p.finish(appDead)
+	}
+	p.retire()
+}
+
+func (p *probe) dialResult(c cnet.Conn, err error) {
+	p.dialing = false
+	switch {
+	case err != nil && errors.Is(err, cnet.ErrRefused):
+		p.finish(appDead)
+	case err != nil:
+		p.finish(appUnresponsive)
+	default:
+		p.conn, p.connOpen = c, true
+		cnet.RetainConn(c) // held across events until the timeout fires
+		c.TrySend(&server.ReqMsg{ID: p.d.probeSeq, Probe: true}, 64)
+	}
+	p.retire()
+}
+
+// RestoreDialEndpoint implements cnet.DialOwner for the probe's dial.
+func (p *probe) RestoreDialEndpoint() (cnet.StreamHandlers, func(cnet.Conn, error)) {
+	return p.h, p.onDial
+}
+
+// RestoreProbeDone implements simdisk.ProbeOwner.
+func (p *probe) RestoreProbeDone() func(healthy bool) { return p.diskDone }
+
+func (p *probe) diskDone(h bool) {
+	p.diskIn, p.diskHealthy = true, h
+	p.decide()
+	p.retire()
+}
+
+func (p *probe) finish(r appProbeResult) {
+	if p.appIn {
+		return
+	}
+	p.appIn, p.app = true, r
+	p.decide()
+}
+
+// decide runs once, when the second verdict arrives.
+func (p *probe) decide() {
+	if !p.diskIn || !p.appIn {
+		return
+	}
+	d := p.d
+	d.decide(p.diskHealthy, p.app)
+	d.probeT.Reschedule(d.cfg.ProbePeriod)
+}
+
+// retire drops the round once nothing of it is outstanding.
+func (p *probe) retire() {
+	if !p.diskIn || !p.appIn || p.dialing || p.timeoutSer != 0 || p.connOpen {
+		return
+	}
+	d := p.d
+	for i, q := range d.probes {
+		if q == p {
+			d.probes = append(d.probes[:i], d.probes[i+1:]...)
 			return
 		}
-		conn = c
-		cnet.RetainConn(c) // held across events until the timeout fires
-		c.TrySend(&server.ReqMsg{ID: d.probeSeq, Probe: true}, 64)
-	})
+	}
 }
 
 // decide applies the translation rules.

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"time"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/metrics"
 	"press/internal/server"
@@ -101,28 +102,43 @@ func (b *backendState) healthy() bool { return !b.pingDown && !b.connDown && !b.
 
 // Frontend is the request-distributor process.
 type Frontend struct {
-	cfg      Config
-	env      cnet.Env
+	cfg      Config   //availlint:skipfield cfg construction config, identical across restores
+	env      cnet.Env //availlint:skipfield env process backlink, supplied by the restore constructor
 	backends map[cnet.NodeID]*backendState
 	rr       int
 	relayed  uint64
 	probeSeq uint64
+	pingT    clock.Ticker
 
-	relayFree []*relay // relay records ready for reuse
+	relayFree []*relay //availlint:skipfield relayFree free list; an empty list after restore is behaviorally identical
+	// live holds the relay records in use (each knows its slot), so a
+	// snapshot can enumerate in-flight relays.
+	live []*relay
+	// dialTag, when the environment supports it, tags each relay's
+	// backend dial with the relay for snapshot identity.
+	dialTag cnet.DialTagger //availlint:skipfield dialTag environment capability, re-derived by the constructor
 }
 
 // New starts a front-end process on env.
 func New(cfg Config, env cnet.Env) *Frontend {
+	f := newFrontend(cfg, env)
+	f.pingT = f.env.Clock().Every(f.cfg.PingPeriod, f.pingTick)
+	if f.cfg.ConnMonitor || f.cfg.SFME {
+		f.startConnProbing()
+	}
+	return f
+}
+
+// newFrontend builds the front-end and registers its listeners (no
+// timers): shared by New and the snapshot Restore path.
+func newFrontend(cfg Config, env cnet.Env) *Frontend {
 	f := &Frontend{cfg: cfg.withDefaults(), env: env, backends: make(map[cnet.NodeID]*backendState)}
 	for _, b := range f.cfg.Backends {
 		f.backends[b] = &backendState{}
 	}
+	f.dialTag, _ = env.(cnet.DialTagger)
 	env.Listen(server.PortHTTP, f.acceptClient)
 	env.BindDatagram(PortPing, f.onPong)
-	f.startPinging()
-	if f.cfg.ConnMonitor || f.cfg.SFME {
-		f.startConnProbing()
-	}
 	return f
 }
 
@@ -209,26 +225,30 @@ func (f *Frontend) acceptClient(client cnet.Conn) cnet.StreamHandlers {
 // this repository opens a connection per request, so a record relays one
 // request; a second request on the same connection is ignored.
 type relay struct {
-	f       *Frontend
+	f       *Frontend //availlint:skipfield f owner backlink, set when the record is minted
 	client  cnet.Conn
 	backend cnet.Conn
 	req     *server.ReqMsg // set while the backend dial is in flight
 	closed  bool
-	ch, bh  cnet.StreamHandlers // client-side and backend-side handlers
-	onDial  func(cnet.Conn, error)
+	slot    int                    //availlint:skipfield slot index in f.live, reassigned as restore re-registers
+	ch, bh  cnet.StreamHandlers    //availlint:skipfield ch bound handler set, rebuilt when the record is minted
+	onDial  func(cnet.Conn, error) //availlint:skipfield onDial bound dial callback, rebuilt when the record is minted
 }
 
 func (f *Frontend) getRelay() *relay {
+	var r *relay
 	if n := len(f.relayFree); n > 0 {
-		r := f.relayFree[n-1]
+		r = f.relayFree[n-1]
 		f.relayFree[n-1] = nil
 		f.relayFree = f.relayFree[:n-1]
-		return r
+	} else {
+		r = &relay{f: f}
+		r.ch = cnet.StreamHandlers{OnMessage: r.onClientMsg, OnClose: r.onClientClose}
+		r.bh = cnet.StreamHandlers{OnMessage: r.onBackendMsg, OnClose: r.onBackendClose}
+		r.onDial = r.dialResult
 	}
-	r := &relay{f: f}
-	r.ch = cnet.StreamHandlers{OnMessage: r.onClientMsg, OnClose: r.onClientClose}
-	r.bh = cnet.StreamHandlers{OnMessage: r.onBackendMsg, OnClose: r.onBackendClose}
-	r.onDial = r.dialResult
+	r.slot = len(f.live)
+	f.live = append(f.live, r)
 	return r
 }
 
@@ -237,9 +257,22 @@ func (r *relay) recycle() {
 	if !r.closed || r.req != nil {
 		return
 	}
+	f := r.f
+	last := len(f.live) - 1
+	moved := f.live[last]
+	f.live[r.slot] = moved
+	moved.slot = r.slot
+	f.live[last] = nil
+	f.live = f.live[:last]
 	r.client, r.backend, r.req = nil, nil, nil
 	r.closed = false
-	r.f.relayFree = append(r.f.relayFree, r)
+	f.relayFree = append(f.relayFree, r)
+}
+
+// RestoreDialEndpoint implements cnet.DialOwner for the relay's
+// backend dial.
+func (r *relay) RestoreDialEndpoint() (cnet.StreamHandlers, func(cnet.Conn, error)) {
+	return r.bh, r.onDial
 }
 
 func (r *relay) onClientMsg(c cnet.Conn, m cnet.Message) {
@@ -256,6 +289,9 @@ func (r *relay) onClientMsg(c cnet.Conn, m cnet.Message) {
 	}
 	f.relayed++
 	r.req = req
+	if f.dialTag != nil {
+		f.dialTag.TagNextDial(r)
+	}
 	f.env.Dial(target, cnet.ClassClient, server.PortHTTP, r.bh, r.onDial)
 }
 
@@ -321,10 +357,6 @@ func (r *relay) closeBoth() {
 }
 
 // --- mon pinger -----------------------------------------------------------
-
-func (f *Frontend) startPinging() {
-	f.env.Clock().Every(f.cfg.PingPeriod, f.pingTick)
-}
 
 func (f *Frontend) pingTick() {
 	for _, n := range f.cfg.Backends {

@@ -78,6 +78,12 @@ func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (Campa
 	if o.Rate <= 0 {
 		e.Saturation(v, o)
 	}
+	// Likewise capture the warm prefix once before the fan-out, so the
+	// episodes restore from it instead of queueing behind its
+	// singleflight.
+	if _, err := e.warmCaptureFor(v, o, sched); err != nil {
+		return res, err
+	}
 	specs := faults.Table1(serverCount(v, o), 2, versionTraits(v).fe)
 	eps := make([]Episode, len(specs))
 	errs := make([]error, len(specs))

@@ -24,14 +24,14 @@ func TestParallelDeterminism(t *testing.T) {
 	Saturation(VCOOP, o)
 
 	start := time.Now()
-	serial, err := episodesUncached(VCOOP, o, specs, sched, 1)
+	serial, err := defaultEngine.episodesUncached(VCOOP, o, specs, sched, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serialDur := time.Since(start)
 
 	start = time.Now()
-	pooled, err := episodesUncached(VCOOP, o, specs, sched, 4)
+	pooled, err := defaultEngine.episodesUncached(VCOOP, o, specs, sched, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCampaignReplayByteIdentical(t *testing.T) {
 	}
 	Saturation(VCOOP, o) // resolve the shared load probe outside the timed passes
 	runOnce := func() []byte {
-		eps, err := episodesUncached(VCOOP, o, specs, sched, 4)
+		eps, err := defaultEngine.episodesUncached(VCOOP, o, specs, sched, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func BenchmarkCampaignEpisodes(b *testing.B) {
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := episodesUncached(VCOOP, o, specs, sched, bm.workers); err != nil {
+				if _, err := defaultEngine.episodesUncached(VCOOP, o, specs, sched, bm.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -225,19 +225,32 @@ func (e *Engine) RunEpisode(v Version, o Options, f faults.Type, comp int, sched
 	e.epMemo[key] = m
 	e.memoMu.Unlock()
 
+	// Resolve the warm capture before taking a slot: computing it takes
+	// a slot of its own, and with a 1-worker pool nesting would deadlock.
+	w, err := e.warmCaptureFor(v, o, sched)
+	if err != nil {
+		m.ep, m.err = Episode{Version: v, Fault: f, Component: comp}, err
+		close(m.done)
+		return m.ep, m.err
+	}
 	e.acquireSlot()
-	m.ep, m.err = runEpisodeUncached(v, o, f, comp, sched)
+	if w != nil {
+		m.ep, m.err = runEpisodeForked(w, f, comp, sched)
+	} else {
+		m.ep, m.err = e.runEpisodeCold(v, o, f, comp, sched)
+	}
 	e.releaseSlot()
 	close(m.done)
 	return m.ep, m.err
 }
 
-// episodesUncached reruns the given fault specs' episodes without
-// consulting or filling any memo, on up to `workers` concurrent
-// simulators (independent of any engine's pool). It exists for the
-// determinism regression test and the serial-vs-pooled benchmark; real
-// callers go through RunEpisode/Campaign and an engine.
-func episodesUncached(v Version, o Options, specs []faults.Spec, sched EpisodeSchedule, workers int) ([]Episode, error) {
+// episodesUncached reruns the given fault specs' episodes cold, without
+// consulting or filling any episode or prefix memo, on up to `workers`
+// concurrent simulators (independent of the engine's pool). Only the
+// offered rate resolves through e. It exists for the determinism
+// regression tests and the serial-vs-pooled benchmark; real callers go
+// through RunEpisode/Campaign.
+func (e *Engine) episodesUncached(v Version, o Options, specs []faults.Spec, sched EpisodeSchedule, workers int) ([]Episode, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -252,7 +265,7 @@ func episodesUncached(v Version, o Options, specs []faults.Spec, sched EpisodeSc
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			eps[i], errs[i] = runEpisodeUncached(v, o, spec.Type, DefaultComponent(spec.Type), sched)
+			eps[i], errs[i] = e.runEpisodeCold(v, o, spec.Type, DefaultComponent(spec.Type), sched)
 		}()
 	}
 	wg.Wait()

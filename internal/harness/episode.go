@@ -83,20 +83,46 @@ func faultNode(f faults.Type, comp int) int {
 	}
 }
 
-// runEpisodeUncached is the actual measurement; Engine.RunEpisode wraps it with
-// the memo and the pool. It builds a private sim.Sim, so concurrent
-// invocations cannot interact.
-func runEpisodeUncached(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
+// warmWorld builds a world and simulates the warm prefix every episode
+// shares: the load ramp plus the settling window, up to the instant a
+// fault would be injected. The offered rate resolves on e, so the
+// saturation probe runs (once) inside e's memo and worker bound.
+func (e *Engine) warmWorld(v Version, o Options, sched EpisodeSchedule) *Cluster {
+	c := e.Build(v, o)
+	c.Gen.Start()
+	c.Sim.RunFor(o.Warmup + sched.Settle)
+	return c
+}
+
+// runEpisodeCold is the measurement on a freshly simulated prefix: the
+// path of versions the snapshot engine does not cover, and the cold
+// reference the fork differential compares against. It builds a private
+// sim.Sim, so concurrent invocations cannot interact.
+func (e *Engine) runEpisodeCold(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
 	o = o.withDefaults()
 	sched = sched.withDefaults()
-	c := Build(v, o)
+	return finishEpisode(e.warmWorld(v, o, sched), f, comp, sched)
+}
+
+// runEpisodeForked is the measurement on a world restored from the
+// version's warm capture.
+func runEpisodeForked(w *warmCapture, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
+	c, err := w.restore()
+	if err != nil {
+		return Episode{Version: w.v, Fault: f, Component: comp}, fmt.Errorf("harness: %v/%v: restoring warm capture: %w", w.v, f, err)
+	}
+	return finishEpisode(c, f, comp, sched.withDefaults())
+}
+
+// finishEpisode runs everything after the warm prefix on c: injection,
+// repair, the reintegration verdict and operator reset, and the
+// template extraction. c must sit exactly at the end of the prefix.
+func finishEpisode(c *Cluster, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
+	v := c.Version
 	ep := Episode{Version: v, Fault: f, Component: comp, Offered: c.Offered(), Log: c.Log}
 	if !c.Injector.Applicable(f) {
 		return ep, fmt.Errorf("harness: %v not applicable to %v", f, v)
 	}
-
-	c.Gen.Start()
-	c.Sim.RunFor(o.Warmup + sched.Settle)
 
 	tFault := c.Sim.Now()
 	ep.Normal = c.Rec.MeanThroughput(tFault-sched.Settle+10*time.Second, tFault)

@@ -350,10 +350,20 @@ type Cluster struct {
 
 	servers []**server.Server
 	srvCfgs []server.Config
-	fe      **frontend.Frontend
-	fes     []**frontend.Frontend // one per FEMachines entry; fes[0] == fe
-	feb     **frontend.Frontend
-	standby **frontend.Standby
+	// Per server node, for versions with membership: the shared view
+	// segment, the daemon and the application's client library, and the
+	// daemon config; with FME, the daemon and its config.
+	pubs     []*membership.Published
+	membds   []**membership.Daemon
+	clients  []**membership.Client
+	membCfgs []membership.Config
+	fmes     []**fme.Daemon
+	fmeCfgs  []fme.Config
+	fe       **frontend.Frontend
+	fes      []**frontend.Frontend // one per FEMachines entry; fes[0] == fe
+	feCfgs   []frontend.Config     // one per FEMachines entry
+	feb      **frontend.Frontend
+	standby  **frontend.Standby
 
 	genTargets []cnet.NodeID
 	offered    float64
@@ -385,6 +395,10 @@ func (c *Cluster) activeFEMachine() *machine.Machine {
 	return c.FEMach
 }
 
+// membPoll is how often the application's membership client reads the
+// shared view segment.
+const membPoll = time.Second
+
 // fmeControl adapts a machine to fme.Control.
 type fmeControl struct {
 	s *sim.Sim
@@ -395,9 +409,15 @@ func (c fmeControl) TakeOffline(reason string) { c.m.TakeOffline(reason) }
 
 func (c fmeControl) RestartApp() {
 	c.m.KillProc("press")
-	m := c.m
-	c.s.After(10*time.Second, func() { m.StartProc("press") })
+	c.s.AfterArg(fmeRestartDelay, restartPress, c.m)
 }
+
+// fmeRestartDelay is how long an FME-killed server stays down.
+const fmeRestartDelay = 10 * time.Second
+
+// restartPress is the kernel callback of an FME restart (arg: the
+// *machine.Machine), claimable by snapshots.
+func restartPress(arg any) { arg.(*machine.Machine).StartProc("press") }
 
 // Build assembles a cluster for the given version on the default engine.
 func Build(v Version, o Options) *Cluster { return defaultEngine.Build(v, o) }
@@ -459,18 +479,25 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 		c.Machines = append(c.Machines, m)
 
 		var pub *membership.Published
+		client := new(*membership.Client)
 		if t.memb {
 			pub = &membership.Published{}
+			membCfg := membership.Config{
+				Self:     ids[i],
+				HBPeriod: o.HeartbeatPeriod,
+				HBMiss:   3,
+				Gossip:   scalable,
+				Peers:    ids,
+				Fanout:   GossipFanout,
+			}
+			membd := new(*membership.Daemon)
 			addProc(m, "membd", func(env *machine.Env) {
-				membership.NewDaemon(membership.Config{
-					Self:     ids[i],
-					HBPeriod: o.HeartbeatPeriod,
-					HBMiss:   3,
-					Gossip:   scalable,
-					Peers:    ids,
-					Fanout:   GossipFanout,
-				}, env, pub)
+				*membd = membership.NewDaemon(membCfg, env, pub)
 			})
+			c.pubs = append(c.pubs, pub)
+			c.membds = append(c.membds, membd)
+			c.clients = append(c.clients, client)
+			c.membCfgs = append(c.membCfgs, membCfg)
 		}
 		if t.fe {
 			addProc(m, "icmp", func(env *machine.Env) { frontend.NewPingResponder(env) })
@@ -497,18 +524,23 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 		addProc(m, "press", func(env *machine.Env) {
 			var mv server.MembershipView
 			if pub != nil {
-				mv = membership.NewClient(env, pub, time.Second)
+				*client = membership.NewClient(env, pub, membPoll)
+				mv = *client
 			}
 			*holder = server.New(cfg, env, disks, mv)
 		})
 
 		if t.fme {
+			fmeCfg := fme.Config{
+				Self:        ids[i],
+				ProbePeriod: o.HeartbeatPeriod,
+			}
+			fmed := new(*fme.Daemon)
 			addProc(m, "fme", func(env *machine.Env) {
-				fme.NewDaemon(fme.Config{
-					Self:        ids[i],
-					ProbePeriod: o.HeartbeatPeriod,
-				}, env, disks, fmeControl{s: s, m: m})
+				*fmed = fme.NewDaemon(fmeCfg, env, disks, fmeControl{s: s, m: m})
 			})
+			c.fmes = append(c.fmes, fmed)
+			c.fmeCfgs = append(c.fmeCfgs, fmeCfg)
 		}
 	}
 
@@ -543,6 +575,7 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			})
 			c.FEMachines = append(c.FEMachines, m)
 			c.fes = append(c.fes, holder)
+			c.feCfgs = append(c.feCfgs, feCfg)
 		}
 		c.FEMach = c.FEMachines[0]
 		c.fe = c.fes[0]
@@ -598,11 +631,13 @@ func (c *Cluster) attachWorkload(rate float64) {
 	}, c.Rec)
 }
 
-// snapshotSupported reports whether the snapshot engine covers this
-// version (phase 1: the plain independent and base cooperative worlds —
-// no front-end tier, membership, qmon, or FME daemons yet).
-func snapshotSupported(t traits) bool {
-	return t == traits{} || t == (traits{cooperative: true, ring: true})
+// snapshotSupported reports whether the snapshot engine covers a
+// version: everything up to FME — front-end tier, membership (ring and
+// gossip), queue monitoring and the FME daemon. The redundant front-end
+// pair and the S-FME / C-MON connection probes run on closures and keep
+// the cold path.
+func snapshotSupported(t traits, o Options) bool {
+	return !t.sfme && !t.cmon && !o.RedundantFE
 }
 
 // BuildForRestore constructs a cold world ready for RestoreWorld: same
@@ -611,8 +646,8 @@ func snapshotSupported(t traits) bool {
 // envelope — the saturation probe must not rerun).
 func BuildForRestore(v Version, o Options, rate float64) *Cluster {
 	o = o.withDefaults()
-	if !snapshotSupported(versionTraits(v)) {
-		snapio.Failf("harness: version %s not supported by snapshots (phase 1: INDEP, COOP)", v)
+	if !snapshotSupported(versionTraits(v), o) {
+		snapio.Failf("harness: version %s not supported by snapshots (INDEP through FME, no redundant front-end)", v)
 	}
 	if rate <= 0 {
 		snapio.Failf("harness: BuildForRestore needs a resolved rate, got %v", rate)

@@ -3,9 +3,30 @@ package harness
 import (
 	"time"
 
+	"press/internal/fme"
+	"press/internal/frontend"
+	"press/internal/machine"
+	"press/internal/membership"
 	"press/internal/server"
+	"press/internal/simnet"
 	"press/internal/snapio"
 )
+
+// NewSnapCtx builds the shared save/load context for one world stream:
+// connection references resolve through blank simnet halves (the
+// connection table is one of the last sections), and the wire-message
+// codec knows every message that can sit in a buffer or mailbox.
+func NewSnapCtx() *snapio.Ctx {
+	msgs := snapio.NewMsgCodec()
+	server.RegisterMessages(msgs)
+	frontend.RegisterMessages(msgs)
+	membership.RegisterMessages(msgs)
+	return &snapio.Ctx{
+		Conns:  snapio.NewRefTable(simnet.BlankConn),
+		Owners: snapio.NewRefTable(nil),
+		Msgs:   msgs,
+	}
+}
 
 // World serialization: the harness owns the section order because it is
 // the only layer that sees every subsystem. The envelope (magic, format
@@ -38,8 +59,8 @@ const (
 // tables — the slot where a driver (the chaos runner) saves its own
 // pending timers, which must still claim from the pending table.
 func (c *Cluster) SaveWorld(ctx *snapio.Ctx, extra func(*snapio.Ctx)) {
-	if !snapshotSupported(c.Traits) {
-		snapio.Failf("harness: version %s not supported by snapshots (phase 1: INDEP, COOP)", c.Version)
+	if !snapshotSupported(c.Traits, c.Opts) {
+		snapio.Failf("harness: version %s not supported by snapshots (INDEP through FME, no redundant front-end)", c.Version)
 	}
 
 	var evs []snapio.PendingEvent
@@ -53,6 +74,9 @@ func (c *Cluster) SaveWorld(ctx *snapio.Ctx, extra func(*snapio.Ctx)) {
 	for _, m := range c.Machines {
 		m.SaveState(ctx)
 	}
+	for _, m := range c.FEMachines {
+		m.SaveState(ctx)
+	}
 	e := ctx.Enc
 	for i, m := range c.Machines {
 		srv := *c.servers[i]
@@ -62,10 +86,46 @@ func (c *Cluster) SaveWorld(ctx *snapio.Ctx, extra func(*snapio.Ctx)) {
 			e.Int(srvNone)
 		case p != nil && p.Alive():
 			e.Int(srvLive)
+			if c.Traits.memb {
+				(*c.clients[i]).SaveState(e)
+			}
 			srv.SaveState(ctx)
 		default:
 			e.Int(srvHusk)
 			srv.SaveHusk(ctx)
+		}
+	}
+	for i, m := range c.Machines {
+		if c.Traits.memb {
+			c.pubs[i].SaveState(e)
+			alive := procAlive(m, "membd")
+			e.Bool(alive)
+			if alive {
+				(*c.membds[i]).SaveState(e)
+			}
+		}
+		if c.Traits.fme {
+			alive := procAlive(m, "fme")
+			e.Bool(alive)
+			if alive {
+				(*c.fmes[i]).SaveState(ctx)
+			}
+			m.Disks().SaveProbes(ctx)
+			restarts := ctx.ClaimWhere(func(ev snapio.PendingEvent) bool {
+				return ev.AFn != nil && snapio.FnPtr(ev.AFn) == snapio.FnPtr(restartPress) && ev.Arg == any(m)
+			})
+			e.Int(len(restarts))
+			for _, ev := range restarts {
+				e.Dur(ev.At)
+				e.U64(ev.Seq)
+			}
+		}
+	}
+	for i, m := range c.FEMachines {
+		alive := procAlive(m, "frontend")
+		e.Bool(alive)
+		if alive {
+			(*c.fes[i]).SaveState(ctx)
 		}
 	}
 	c.Gen.SaveState(ctx)
@@ -96,6 +156,12 @@ func (c *Cluster) SaveWorld(ctx *snapio.Ctx, extra func(*snapio.Ctx)) {
 	e.Int(maxQ)
 }
 
+// procAlive reports whether machine m runs a live process called name.
+func procAlive(m *machine.Machine, name string) bool {
+	p := m.Proc(name)
+	return p != nil && p.Alive()
+}
+
 // RestoreWorld builds a cold world and rehydrates SaveWorld's stream
 // into it. extra mirrors SaveWorld's hook and runs at the same stream
 // position. The returned cluster continues byte-identically to the one
@@ -111,19 +177,59 @@ func RestoreWorld(v Version, o Options, rate float64, ctx *snapio.Ctx, extra fun
 	for _, m := range c.Machines {
 		m.LoadState(ctx)
 	}
+	for _, m := range c.FEMachines {
+		m.LoadState(ctx)
+	}
 	d := ctx.Dec
 	for i, m := range c.Machines {
 		switch tag := d.Int(); tag {
 		case srvNone:
 		case srvLive:
-			*c.servers[i] = server.Restore(c.srvCfgs[i], m.RestoreEnv("press"), m.Disks(), nil, ctx)
+			env := m.RestoreEnv("press")
+			var mv server.MembershipView
+			if c.Traits.memb {
+				*c.clients[i] = membership.RestoreClient(env, c.pubs[i], membPoll, d)
+				mv = *c.clients[i]
+			}
+			*c.servers[i] = server.Restore(c.srvCfgs[i], env, m.Disks(), mv, ctx)
 		case srvHusk:
 			*c.servers[i] = server.RestoreHusk(ctx)
 		default:
 			snapio.Failf("harness: bad server section tag %d for node %d", tag, i)
 		}
 	}
+	for i, m := range c.Machines {
+		if c.Traits.memb {
+			c.pubs[i].LoadState(d)
+			if d.Bool() {
+				*c.membds[i] = membership.RestoreDaemon(c.membCfgs[i], m.RestoreEnv("membd"), c.pubs[i], d)
+			}
+		}
+		if c.Traits.fme {
+			if d.Bool() {
+				*c.fmes[i] = fme.Restore(c.fmeCfgs[i], m.RestoreEnv("fme"), m.Disks(), fmeControl{s: c.Sim, m: m}, ctx)
+			}
+			m.Disks().LoadProbes(ctx)
+			for k := d.Count(4); k > 0; k-- {
+				at, seq := d.Dur(), d.U64()
+				c.Sim.RestoreAtArg(at, seq, restartPress, m)
+			}
+		}
+	}
 	for _, m := range c.Machines {
+		if c.Traits.fe && procAlive(m, "icmp") {
+			frontend.NewPingResponder(m.RestoreEnv("icmp")) // stateless; binding schedules nothing
+		}
+	}
+	for i, m := range c.FEMachines {
+		if d.Bool() {
+			*c.fes[i] = frontend.Restore(c.feCfgs[i], m.RestoreEnv("frontend"), ctx)
+		}
+	}
+	for _, m := range c.Machines {
+		m.FinishRestore(ctx)
+	}
+	for _, m := range c.FEMachines {
 		m.FinishRestore(ctx)
 	}
 	c.Gen.LoadState(ctx)

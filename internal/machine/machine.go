@@ -65,6 +65,10 @@ type Machine struct {
 	// Env.Dial, removed when the record is released.
 	dials []*dialRec
 
+	// nextDialOwner tags the next Env.Dial with the component record that
+	// owns its result callback (TagNextDial), for snapshot identity.
+	nextDialOwner any //availlint:skipfield nextDialOwner transient tag consumed by the Dial it is set for; nil between events
+
 	// rst holds machine-level restore scratch; nil outside a restore.
 	rst *machineRestore //availlint:skipfield rst restore-only scratch, nil whenever a snapshot can be taken
 }
@@ -277,7 +281,9 @@ type call struct {
 
 	// Snapshot tags: enough identity to rebuild the entry's callback on
 	// restore (the function values themselves cannot be serialized).
-	// dial distinguishes a dial result from an OnClose — both post rfn.
+	// dial distinguishes a dial result from an OnClose — both post rfn;
+	// a dial result carries no message, so m holds the dialing
+	// component's record when it tagged the dial (TagNextDial).
 	dial bool
 	to   cnet.NodeID // dial destination
 	port string      // dgram port / dial port
@@ -501,11 +507,21 @@ func (p *Proc) syncConnPause() {
 	p.pauseConns = nil
 	for i, c := range conns {
 		conns[i] = nil
-		if c != nil {
+		// Only conns the process still holds are touched: a drained
+		// handler can close a later conn before the loop reaches it, and
+		// p.conns itself can carry an entry whose conn the network has
+		// already recycled (its owner slot no longer points back).
+		if c != nil && p.holds(c) {
 			c.SetPaused(paused)
 		}
 	}
 	p.pauseConns = conns[:0]
+}
+
+// holds reports whether c is still one of the process's adopted conns.
+func (p *Proc) holds(c simnet.StreamConn) bool {
+	i := c.OwnerSlot()
+	return i >= 0 && i < len(p.conns) && p.conns[i] == c
 }
 
 func (p *Proc) adoptConn(c simnet.StreamConn, wr *wrapRec) {
@@ -615,6 +631,7 @@ type dialRec struct {
 	cb     func(cnet.Conn, error) //availlint:skipfield cb completion closure, rebuilt from result+wr on restore
 	to     cnet.NodeID            // snapshot identity of the dial
 	port   string
+	owner  any //availlint:skipfield owner component record, re-supplied via Env.RestoreDialOwner
 	slot   int //availlint:skipfield slot registry index, reassigned as restore re-registers in-flight dials
 }
 
@@ -646,7 +663,7 @@ func (m *Machine) getDial() *dialRec {
 		} else {
 			mm.putWrap(r.wr)
 		}
-		e.p.postCall(call{rfn: r.result, env: e, c: c, err: err, dial: true, to: r.to, port: r.port})
+		e.p.postCall(call{rfn: r.result, env: e, c: c, err: err, dial: true, to: r.to, port: r.port, m: r.owner})
 		mm.putDial(r)
 	}
 	return r
@@ -661,7 +678,7 @@ func (m *Machine) putDial(r *dialRec) {
 		m.dials[last] = nil
 		m.dials = m.dials[:last]
 	}
-	r.e, r.result, r.wr = nil, nil, nil
+	r.e, r.result, r.wr, r.owner = nil, nil, nil, nil
 	r.to, r.port, r.slot = cnet.None, "", -1
 	m.dialFree = append(m.dialFree, r)
 }
@@ -865,11 +882,18 @@ func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamH
 	dr := e.p.m.getDial()
 	dr.e, dr.result, dr.wr = e, result, wr
 	dr.to, dr.port = to, port
+	dr.owner, e.p.m.nextDialOwner = e.p.m.nextDialOwner, nil
 	dr.slot = len(e.p.m.dials)
 	e.p.m.dials = append(e.p.m.dials, dr)
 	e.p.m.iface.Network().SetNextDialOwner(dr)
 	e.p.m.iface.Dial(to, class, port, wr.w, dr.cb)
 }
+
+// TagNextDial tags the next Dial with the component record that owns its
+// result callback. Components that keep several dials to one (node,
+// port) in flight tag them, so a snapshot can tell them apart: the
+// owner re-supplies the callbacks on restore (cnet.DialOwner).
+func (e *Env) TagNextDial(owner any) { e.p.m.nextDialOwner = owner }
 
 // Listen implements cnet.Env.
 func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) {
@@ -900,14 +924,33 @@ type procClock struct{ e *Env }
 func (pc procClock) Now() time.Duration { return pc.e.p.m.sim.Now() }
 
 func (pc procClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
+	t, ok := pc.arm(d, fn)
+	if !ok {
+		return deadTimer{}
+	}
+	return t
+}
+
+// Schedule implements clock.Scheduler: AfterFunc without the handle.
+// Returning procTimer through clock.Timer boxes it, one heap object per
+// call; fire-and-forget callers (disk completions, deferred admissions)
+// skip that and keep only the serial.
+func (pc procClock) Schedule(d time.Duration, fn func()) uint64 {
+	t, _ := pc.arm(d, fn)
+	return t.serial
+}
+
+// arm schedules fn through a pooled timer record; ok is false (and
+// nothing is armed) once the incarnation is dead.
+func (pc procClock) arm(d time.Duration, fn func()) (t procTimer, ok bool) {
 	e := pc.e
 	if !e.live() {
-		return deadTimer{}
+		return procTimer{}, false
 	}
 	r := e.p.m.getTimer()
 	e.p.timerSeq++
 	r.e, r.fn, r.serial = e, fn, e.p.timerSeq
-	return procTimer{t: e.p.m.sim.AfterArg(d, procTimerFire, r), serial: r.serial}
+	return procTimer{t: e.p.m.sim.AfterArg(d, procTimerFire, r), serial: r.serial}, true
 }
 
 // Every delivers a periodic callback through the process mailbox with

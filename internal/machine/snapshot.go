@@ -40,6 +40,7 @@ const (
 	tagClosed   = 4
 	tagWritable = 5
 	tagTimer    = 6
+	tagDialOwn  = 7 // dial result of a tagged dial: the owner re-supplies the callback
 )
 
 type restTimer struct {
@@ -51,6 +52,7 @@ type restTimer struct {
 
 type mailTag struct {
 	kind   uint8
+	owner  uint64 // tagDialOwn: the owner's ctx.Owners id
 	c      cnet.Conn
 	m      cnet.Message
 	from   cnet.NodeID
@@ -89,6 +91,7 @@ type procRestore struct {
 	conns        []cnet.Conn // adopted conns, then mailbox-only (closed) conns
 	wraps        map[cnet.Conn]*wrapRec
 	dialers      map[dialKey]dialEndpoint
+	dialOwners   map[uint64]cnet.DialOwner // in-flight tagged dials by dial-record id
 }
 
 // SaveState serializes the machine. Pending proc timers and the charge
@@ -188,6 +191,11 @@ func saveMailEntry(ctx *snapio.Ctx, m *Machine, proc string, c *call) {
 		e.Str(c.port)
 		e.I64(int64(c.from))
 		ctx.Msgs.Encode(e, c.m)
+	case c.rfn != nil && c.dial && c.m != nil:
+		e.U64(tagDialOwn)
+		e.U64(ctx.Owners.Ref(c.m))
+		e.U64(ctx.Conns.Ref(c.c))
+		e.U64(cnet.ErrCode(c.err))
 	case c.rfn != nil && c.dial:
 		e.U64(tagDial)
 		e.I64(int64(c.to))
@@ -239,6 +247,7 @@ func (m *Machine) LoadState(ctx *snapio.Ctx) {
 			mailTimerFns: map[uint64]func(){},
 			wraps:        map[cnet.Conn]*wrapRec{},
 			dialers:      map[dialKey]dialEndpoint{},
+			dialOwners:   map[uint64]cnet.DialOwner{},
 		}
 
 		for k := d.Count(4); k > 0; k-- {
@@ -332,6 +341,10 @@ func loadMailEntry(ctx *snapio.Ctx) mailTag {
 		t.port = d.Str()
 		t.c, _ = ctx.Conns.Obj(d.U64()).(cnet.Conn)
 		t.err = cnet.ErrFromCode(d.U64())
+	case tagDialOwn:
+		t.owner = d.U64()
+		t.c, _ = ctx.Conns.Obj(d.U64()).(cnet.Conn)
+		t.err = cnet.ErrFromCode(d.U64())
 	case tagClosed:
 		t.c, _ = ctx.Conns.Obj(d.U64()).(cnet.Conn)
 		t.err = cnet.ErrFromCode(d.U64())
@@ -414,6 +427,29 @@ func (e *Env) RestoreDialer(to cnet.NodeID, port string, h cnet.StreamHandlers, 
 	p.rst.dialers[dialKey{to, port}] = dialEndpoint{h: h, result: result}
 }
 
+// DialRef returns the snapshot id of the in-flight dial this process
+// tagged with owner (save side), false when none is in flight — its
+// result may already sit in the mailbox, where the owner tag travels
+// with the entry.
+func (e *Env) DialRef(ctx *snapio.Ctx, owner any) (uint64, bool) {
+	for _, dr := range e.p.m.dials {
+		if dr.owner == owner && dr.e == e {
+			return ctx.Owners.Lookup(dr)
+		}
+	}
+	return 0, false
+}
+
+// RestoreDialOwner re-attaches the in-flight tagged dial saved under id
+// (DialRef) to its owner.
+func (e *Env) RestoreDialOwner(id uint64, owner cnet.DialOwner) {
+	p := e.p
+	if p.rst == nil {
+		snapio.Failf("machine %d/%s: RestoreDialOwner outside restore", p.m.id, p.name)
+	}
+	p.rst.dialOwners[id] = owner
+}
+
 // RestoreConn re-attaches the component's handlers to a restored
 // connection through a fresh wrapper record. Adoption bookkeeping
 // (close hook, owner slot) happens in FinishRestore for connections in
@@ -483,7 +519,7 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 		}
 
 		for _, t := range r.mailTags {
-			p.mailbox = append(p.mailbox, m.resolveMailEntry(p, t))
+			p.mailbox = append(p.mailbox, m.resolveMailEntry(ctx, p, t))
 		}
 		p.head = 0
 	}
@@ -501,7 +537,11 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 		var env *Env
 		wr := m.getWrap()
 		dr := m.getDial()
-		if rd.live {
+		if owner := p.rst.dialOwners[rd.id]; rd.live && owner != nil {
+			env = p.env
+			wr.h, dr.result = owner.RestoreDialEndpoint()
+			dr.owner = owner
+		} else if rd.live {
 			env = p.env
 			ep, ok := p.rst.dialers[dialKey{rd.to, rd.port}]
 			if !ok {
@@ -524,7 +564,22 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 	}
 }
 
-func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
+// adoptDialHandlers gives a conn delivered by a dial whose result still
+// sits in the mailbox the handlers the dial was issued with: Env.Dial
+// wrapped the conn with them, whatever the component's restore chose
+// before it could know the conn was its dial's.
+func (m *Machine) adoptDialHandlers(p *Proc, c cnet.Conn, h cnet.StreamHandlers) {
+	if c == nil {
+		return
+	}
+	wr := p.rst.wraps[c]
+	if wr == nil {
+		snapio.Failf("machine %d/%s: dialed conn in mailbox not restored by component", m.id, p.name)
+	}
+	wr.h = h
+}
+
+func (m *Machine) resolveMailEntry(ctx *snapio.Ctx, p *Proc, t mailTag) call {
 	env := p.env
 	switch t.kind {
 	case tagDead:
@@ -554,7 +609,16 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 		if !ok {
 			snapio.Failf("machine %d/%s: mailbox dial result for %d port %q unclaimed", m.id, p.name, t.to, t.port)
 		}
+		m.adoptDialHandlers(p, t.c, ep.h)
 		return call{rfn: ep.result, env: env, c: t.c, err: t.err, dial: true, to: t.to, port: t.port}
+	case tagDialOwn:
+		owner, ok := ctx.Owners.Obj(t.owner).(cnet.DialOwner)
+		if !ok {
+			snapio.Failf("machine %d/%s: mailbox dial result owner %d cannot restore a dial", m.id, p.name, t.owner)
+		}
+		h, result := owner.RestoreDialEndpoint()
+		m.adoptDialHandlers(p, t.c, h)
+		return call{rfn: result, env: env, c: t.c, err: t.err, dial: true, m: owner}
 	case tagClosed:
 		wr := p.rst.wraps[t.c]
 		if wr == nil || wr.h.OnClose == nil {

@@ -234,15 +234,20 @@ type Daemon struct {
 	version uint64
 	members []cnet.NodeID // sorted, includes self
 
-	lastSeen map[cnet.NodeID]time.Duration //availlint:skipfield lastSeen ring-mode heartbeat evidence; the gossip snapshot carries gseen instead
-	busy     bool                          //availlint:skipfield busy 2PC scratch; gossip mode never runs a 2PC
-	wait     *ackWait                      //availlint:skipfield wait 2PC scratch; gossip mode never runs a 2PC
+	lastSeen map[cnet.NodeID]time.Duration
+	busy     bool
+	wait     *ackWait
 
-	offers     []MJoinOffer //availlint:skipfield offers join-protocol scratch, unused in gossip mode
-	collecting bool         //availlint:skipfield collecting join-protocol scratch, unused in gossip mode
+	offers     []MJoinOffer
+	collecting bool
 
-	//availlint:skipfield seekT ticker handle; restored daemons restart their tickers fresh
+	hbT   clock.Ticker // heartbeat (ring) or gossip-round loop
 	seekT clock.Ticker // variable-period seek loop, retimed each pass
+	// offerSer is the pending offer-window timer's serial (0: none), and
+	// commits the pending 2PC commit timeouts, so a snapshot can re-claim
+	// both.
+	offerSer uint64
+	commits  []*commitTimer
 
 	// hbPool recycles heartbeat records; receivers release them.
 	hbPool cnet.MsgPool[MHeartbeat] //availlint:skipfield hbPool message free list; an empty pool after restore is behaviorally identical
@@ -260,6 +265,28 @@ type Daemon struct {
 
 // NewDaemon starts a membership daemon on env, publishing into pub.
 func NewDaemon(cfg Config, env cnet.Env, pub *Published) *Daemon {
+	d := newDaemon(cfg, env, pub)
+	if d.cfg.Gossip {
+		// Epidemic mode: no join multicasts, no ring, no 2PC — just the
+		// per-round digest push. Convergence is bounded by the flood
+		// diameter, so staleness tolerates the Table-1 miss budget plus
+		// one full dissemination.
+		d.counts = map[cnet.NodeID]uint64{d.cfg.Self: 1}
+		d.gseen = map[cnet.NodeID]time.Duration{d.cfg.Self: d.env.Clock().Now()}
+		d.install(1, d.members, "boot")
+		d.hbT = d.env.Clock().Every(d.cfg.HBPeriod, d.gossipTick)
+		return d
+	}
+	d.env.JoinGroup(JoinGroup)
+	d.install(1, d.members, "boot")
+	d.hbT = d.env.Clock().Every(d.cfg.HBPeriod, d.tick)
+	d.seekLater(true)
+	return d
+}
+
+// newDaemon builds a daemon and binds its port, scheduling nothing:
+// shared by NewDaemon and the snapshot restore path.
+func newDaemon(cfg Config, env cnet.Env, pub *Published) *Daemon {
 	d := &Daemon{
 		cfg:      cfg.withDefaults(),
 		env:      env,
@@ -269,28 +296,15 @@ func NewDaemon(cfg Config, env cnet.Env, pub *Published) *Daemon {
 	}
 	d.src = metrics.InternSource(fmt.Sprintf("membd/%d", d.cfg.Self))
 	if d.cfg.Gossip {
-		// Epidemic mode: no join multicasts, no ring, no 2PC — just the
-		// per-round digest push. Convergence is bounded by the flood
-		// diameter, so staleness tolerates the Table-1 miss budget plus
-		// one full dissemination.
 		d.missDetail = fmt.Sprintf("membership: counter stale for %d gossip rounds", d.staleRounds())
-		d.counts = map[cnet.NodeID]uint64{d.cfg.Self: 1}
-		d.gseen = map[cnet.NodeID]time.Duration{d.cfg.Self: d.env.Clock().Now()}
 		d.peerOK = make(map[cnet.NodeID]bool, len(d.cfg.Peers))
 		for _, p := range d.cfg.Peers {
 			d.peerOK[p] = true
 		}
-		d.env.BindDatagram(Port, d.onMessage)
-		d.install(1, d.members, "boot")
-		d.env.Clock().Every(d.cfg.HBPeriod, d.gossipTick)
-		return d
+	} else {
+		d.missDetail = fmt.Sprintf("membership: %d heartbeats missed", d.cfg.HBMiss)
 	}
-	d.missDetail = fmt.Sprintf("membership: %d heartbeats missed", d.cfg.HBMiss)
-	d.env.JoinGroup(JoinGroup)
 	d.env.BindDatagram(Port, d.onMessage)
-	d.install(1, d.members, "boot")
-	d.startTicking()
-	d.seekLater(true)
 	return d
 }
 
@@ -356,10 +370,6 @@ func contains(ns []cnet.NodeID, n cnet.NodeID) bool {
 		}
 	}
 	return false
-}
-
-func (d *Daemon) startTicking() {
-	d.env.Clock().Every(d.cfg.HBPeriod, d.tick)
 }
 
 func (d *Daemon) tick() {
@@ -501,8 +511,7 @@ func sameView(a, b []cnet.NodeID) bool {
 
 // SaveGossip serializes the epidemic-mode state: the installed view and
 // the counter/evidence tables, walked in sorted node order so the blob
-// is deterministic. Ticker phase is not captured — a restored daemon
-// restarts its round timer fresh.
+// is deterministic. The round ticker is saved by SaveState.
 func (d *Daemon) SaveGossip(e *snapio.Encoder) {
 	e.U64(d.version)
 	e.Int(len(d.members))
@@ -537,17 +546,17 @@ func sortedNodeKeys[V any](m map[cnet.NodeID]V) []cnet.NodeID {
 func (d *Daemon) LoadGossip(dec *snapio.Decoder) {
 	d.version = dec.U64()
 	d.members = d.members[:0]
-	for i, n := 0, dec.Int(); i < n; i++ {
+	for n := dec.Count(1 << 16); n > 0; n-- {
 		d.members = append(d.members, cnet.NodeID(dec.I64()))
 	}
 	d.pub.set(d.version, d.members)
-	nc := dec.Int()
+	nc := dec.Count(1 << 16)
 	d.counts = make(map[cnet.NodeID]uint64, nc)
 	for i := 0; i < nc; i++ {
 		id := cnet.NodeID(dec.I64())
 		d.counts[id] = dec.U64()
 	}
-	ns := dec.Int()
+	ns := dec.Count(1 << 16)
 	d.gseen = make(map[cnet.NodeID]time.Duration, ns)
 	for i := 0; i < ns; i++ {
 		id := cnet.NodeID(dec.I64())
@@ -587,47 +596,72 @@ func (d *Daemon) runChange(proposed []cnet.NodeID, subject cnet.NodeID, add bool
 
 // ackWait tracks one in-flight 2PC at the coordinator.
 type ackWait struct {
-	ver        uint64
-	proposed   []cnet.NodeID
-	acked      map[cnet.NodeID]bool
-	need       int
-	onComplete func()
+	ver      uint64
+	proposed []cnet.NodeID
+	acked    map[cnet.NodeID]bool
+	need     int
+	subject  cnet.NodeID
+	add      bool
+}
+
+// commitTimer is one pending 2PC commit timeout. It outlives its round
+// when the acks complete first, and then fires as a no-op.
+type commitTimer struct {
+	d       *Daemon //availlint:skipfield d owner backlink, set by the restoring daemon
+	serial  uint64
+	ver     uint64
+	subject cnet.NodeID
+	add     bool
+}
+
+func (ct *commitTimer) fire() {
+	d := ct.d
+	for i, p := range d.commits {
+		if p == ct {
+			d.commits = append(d.commits[:i], d.commits[i+1:]...)
+			break
+		}
+	}
+	d.commit(ct.ver, ct.subject, ct.add)
 }
 
 func (d *Daemon) expectAcks(ver uint64, proposed []cnet.NodeID, acked map[cnet.NodeID]bool, need int, subject cnet.NodeID, add bool) {
-	d.wait = &ackWait{ver: ver, proposed: proposed, acked: acked, need: need}
-	commit := func() {
-		if d.wait == nil || d.wait.ver != ver {
-			return
-		}
-		w := d.wait
-		d.wait = nil
-		// Commit to everyone who acked; the silent ones will be detected
-		// and excluded by heartbeat monitoring in due course.
-		var final []cnet.NodeID
-		for _, m := range w.proposed {
-			if w.acked[m] {
-				final = append(final, m)
-			}
-		}
-		cm := MCommit{From: d.cfg.Self, Ver: ver, Members: final}
-		for _, m := range final {
-			if m != d.cfg.Self {
-				d.env.Send(m, cnet.ClassIntra, Port, cm, 64+4*len(final))
-			}
-		}
-		what := "exclude"
-		if add {
-			what = "admit"
-		}
-		d.install(ver, final, fmt.Sprintf("%s %d (coordinator)", what, subject))
-	}
+	d.wait = &ackWait{ver: ver, proposed: proposed, acked: acked, need: need, subject: subject, add: add}
 	if need == 0 {
-		commit()
+		d.commit(ver, subject, add)
 		return
 	}
-	d.wait.onComplete = commit
-	d.env.Clock().AfterFunc(d.cfg.AckTimeout, commit)
+	ct := &commitTimer{d: d, ver: ver, subject: subject, add: add}
+	ct.serial = clock.Schedule(d.env.Clock(), d.cfg.AckTimeout, ct.fire)
+	d.commits = append(d.commits, ct)
+}
+
+// commit installs round ver's view, unless that round already ended.
+func (d *Daemon) commit(ver uint64, subject cnet.NodeID, add bool) {
+	if d.wait == nil || d.wait.ver != ver {
+		return
+	}
+	w := d.wait
+	d.wait = nil
+	// Commit to everyone who acked; the silent ones will be detected
+	// and excluded by heartbeat monitoring in due course.
+	var final []cnet.NodeID
+	for _, m := range w.proposed {
+		if w.acked[m] {
+			final = append(final, m)
+		}
+	}
+	cm := MCommit{From: d.cfg.Self, Ver: ver, Members: final}
+	for _, m := range final {
+		if m != d.cfg.Self {
+			d.env.Send(m, cnet.ClassIntra, Port, cm, 64+4*len(final))
+		}
+	}
+	what := "exclude"
+	if add {
+		what = "admit"
+	}
+	d.install(ver, final, fmt.Sprintf("%s %d (coordinator)", what, subject))
 }
 
 func (d *Daemon) onMessage(from cnet.NodeID, m cnet.Message) {
@@ -660,8 +694,8 @@ func (d *Daemon) onMessage(from cnet.NodeID, m cnet.Message) {
 		if d.wait != nil && d.wait.ver == msg.Ver && !d.wait.acked[msg.From] {
 			d.wait.acked[msg.From] = true
 			d.wait.need--
-			if d.wait.need <= 0 && d.wait.onComplete != nil {
-				d.wait.onComplete()
+			if d.wait.need <= 0 {
+				d.commit(d.wait.ver, d.wait.subject, d.wait.add)
 			}
 		}
 	case MCommit:
@@ -750,32 +784,38 @@ func (d *Daemon) seek() {
 		MinID:   minID(d.members),
 		Members: d.Members(),
 	}, 64+4*len(d.members))
-	d.env.Clock().AfterFunc(d.cfg.OfferWindow, func() {
-		d.collecting = false
-		best := -1
-		for i, off := range d.offers {
-			if !betterGroup(off.Members, d.members) {
-				continue
-			}
-			if best == -1 || betterGroup(d.offers[i].Members, d.offers[best].Members) {
-				best = i
-			}
+	d.offerSer = clock.Schedule(d.env.Clock(), d.cfg.OfferWindow, d.closeOffers)
+}
+
+// closeOffers ends the offer window and asks the best offering member
+// to admit us.
+func (d *Daemon) closeOffers() {
+	d.offerSer = 0
+	d.collecting = false
+	best := -1
+	for i, off := range d.offers {
+		if !betterGroup(off.Members, d.members) {
+			continue
 		}
-		if best == -1 {
-			return
+		if best == -1 || betterGroup(d.offers[i].Members, d.offers[best].Members) {
+			best = i
 		}
-		d.env.Send(d.offers[best].From, cnet.ClassIntra, Port, MJoinAsk{From: d.cfg.Self}, 48)
-	})
+	}
+	if best == -1 {
+		return
+	}
+	d.env.Send(d.offers[best].From, cnet.ClassIntra, Port, MJoinAsk{From: d.cfg.Self}, 48)
 }
 
 // Client is the application-side library (§4.2): it polls the shared
 // segment and calls the application back with view updates, and lets the
 // application hint at dead nodes.
 type Client struct {
-	env  cnet.Env
-	pub  *Published
-	poll time.Duration
-	subs []func(members []cnet.NodeID)
+	env   cnet.Env                      //availlint:skipfield env process backlink, supplied by the restore constructor
+	pub   *Published                    //availlint:skipfield pub shared segment backlink, supplied by the restore constructor
+	poll  time.Duration                 //availlint:skipfield poll construction config, identical across restores
+	subs  []func(members []cnet.NodeID) //availlint:skipfield subs callbacks, re-subscribed by the restoring application
+	pollT clock.Ticker
 }
 
 // NewClient attaches a client to the local node's published view.
@@ -784,7 +824,7 @@ func NewClient(env cnet.Env, pub *Published, poll time.Duration) *Client {
 		poll = time.Second
 	}
 	c := &Client{env: env, pub: pub, poll: poll}
-	c.pollLater()
+	c.pollT = c.env.Clock().Every(c.poll, c.pollTick)
 	return c
 }
 
@@ -797,10 +837,6 @@ func (c *Client) Subscribe(fn func(members []cnet.NodeID)) {
 // NodeDown forwards the application's down-hint to the local daemon.
 func (c *Client) NodeDown(n cnet.NodeID) {
 	c.env.Send(c.env.Local(), cnet.ClassIntra, Port, MNodeDown{From: c.env.Local(), Node: n}, 48)
-}
-
-func (c *Client) pollLater() {
-	c.env.Clock().Every(c.poll, c.pollTick)
 }
 
 func (c *Client) pollTick() {

@@ -18,8 +18,10 @@ package qmon
 
 import (
 	"math/rand"
+	"sort"
 
 	"press/internal/cnet"
+	"press/internal/snapio"
 )
 
 // Config carries the thresholds. The defaults reproduce the paper's 512 /
@@ -53,11 +55,11 @@ type Callbacks struct {
 // recycled through a free list, so churn in the cooperation set (repeated
 // exclusion and re-admission) reaches a steady state with no allocation.
 type Monitor struct {
-	cfg   Config
-	cb    Callbacks
-	rng   *rand.Rand
+	cfg   Config     //availlint:skipfield cfg thresholds, supplied by the constructor
+	cb    Callbacks  //availlint:skipfield cb owner callbacks, re-supplied by the constructor
+	rng   *rand.Rand //availlint:skipfield rng owner's stream, saved by the owning process
 	state map[cnet.NodeID]*peerState
-	free  []*peerState
+	free  []*peerState //availlint:skipfield free free list; an empty list after restore is behaviorally identical
 }
 
 type peerState struct {
@@ -162,4 +164,31 @@ func (m *Monitor) ClearFailed(peer cnet.NodeID) {
 	ps := m.peer(peer)
 	ps.failed = false
 	ps.rerouting = false
+}
+
+// SaveState serializes the per-peer verdicts in ascending peer order.
+// The thresholds and callbacks are configuration, and the random stream
+// belongs to the owning component.
+func (m *Monitor) SaveState(e *snapio.Encoder) {
+	ids := make([]cnet.NodeID, 0, len(m.state))
+	for id := range m.state {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	e.Int(len(ids))
+	for _, id := range ids {
+		ps := m.state[id]
+		e.I64(int64(id))
+		e.Bool(ps.rerouting)
+		e.Bool(ps.failed)
+	}
+}
+
+// LoadState restores SaveState's verdicts into a fresh monitor.
+func (m *Monitor) LoadState(d *snapio.Decoder) {
+	for k := d.Count(1 << 16); k > 0; k-- {
+		ps := m.peer(cnet.NodeID(d.I64()))
+		ps.rerouting = d.Bool()
+		ps.failed = d.Bool()
+	}
 }

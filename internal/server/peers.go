@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 )
 
@@ -21,7 +22,8 @@ type peer struct {
 	reqInQ   int // FwdMsgs among the queued messages
 	load     int // piggybacked open-request count
 	dialing  bool
-	retry    timerHandle
+	retry    *retryTimer   // the latest redial timer armed, pending or spent
+	retries  []*retryTimer // redial timers still to run, oldest first
 
 	// Dial and connection callbacks, built once per peer: redialing is hot
 	// during fault episodes and must not allocate per attempt.
@@ -31,6 +33,40 @@ type peer struct {
 }
 
 func (p *peer) qlen() int { return len(p.sendQ) - p.sendHead }
+
+// retryTimer is one armed redial. A connectPeer from the send path can
+// start (and fail) a new dial before an earlier retry has run, so
+// several can be pending; each leaves p.retries when it runs, and
+// snapshots re-claim all of them.
+type retryTimer struct {
+	p      *peer
+	h      timerHandle
+	serial uint64 // 0 where the clock numbers no timers (live stacks)
+}
+
+func (rt *retryTimer) fire() {
+	rt.p.dropRetry(rt)
+	rt.p.redial()
+}
+
+func (p *peer) dropRetry(rt *retryTimer) {
+	for i, q := range p.retries {
+		if q == rt {
+			p.retries = append(p.retries[:i], p.retries[i+1:]...)
+			return
+		}
+	}
+}
+
+func (p *peer) armRetry(c clock.Clock, d time.Duration) {
+	rt := &retryTimer{p: p}
+	rt.h = c.AfterFunc(d, rt.fire)
+	if ts, ok := rt.h.(interface{ TimerSerial() uint64 }); ok {
+		rt.serial = ts.TimerSerial()
+	}
+	p.retry = rt
+	p.retries = append(p.retries, rt)
+}
 
 type outMsg struct {
 	m     cnet.Message
@@ -78,7 +114,7 @@ func (s *Server) peer(n cnet.NodeID) *peer {
 				// retrying while it remains in the view; the detectors decide
 				// whether it should stay there.
 				if s.inView(p.id) {
-					p.retry = s.env.Clock().AfterFunc(2*time.Second, p.redial)
+					p.armRetry(s.env.Clock(), 2*time.Second)
 				}
 				return
 			}
@@ -168,8 +204,8 @@ func (p *peer) teardown() {
 	p.sendQ = nil
 	p.sendHead = 0
 	p.reqInQ = 0
-	if p.retry != nil {
-		p.retry.Stop()
+	if p.retry != nil && p.retry.h.Stop() {
+		p.dropRetry(p.retry)
 	}
 	if p.conn != nil {
 		p.conn.Close()
@@ -194,7 +230,8 @@ func (s *Server) peerConnLost(n cnet.NodeID, err error) {
 // inPeer is an inbound peer connection's identity, unknown until its
 // Hello arrives. The connection's own handlers capture it, so the hot
 // receive path reads a pointer instead of hashing the conn-keyed
-// registry per message; inboundFrom stays authoritative for snapshots.
+// registry per message; inboundFrom stays authoritative for snapshots
+// (cnet.None until the Hello).
 type inPeer struct {
 	from  cnet.NodeID
 	known bool
@@ -203,6 +240,7 @@ type inPeer struct {
 // acceptPeer handles inbound intra-cluster connections (the peer's send
 // connection). The first message must be a Hello identifying the dialer.
 func (s *Server) acceptPeer(c cnet.Conn) cnet.StreamHandlers {
+	s.inboundFrom[c] = cnet.None
 	return s.inboundHandlers(&inPeer{})
 }
 

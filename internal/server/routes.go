@@ -1,6 +1,7 @@
 package server
 
 import (
+	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/trace"
 )
@@ -325,11 +326,11 @@ type diskOp struct {
 	requeue func()        // server context: retry the submission
 
 	// Snapshot identity: slot indexes s.diskOps while the op is live, and
-	// the bounce/requeue timer handles are retained so their serials can
-	// be re-claimed on restore.
-	slot     int
-	bounceT  timerHandle
-	requeueT timerHandle
+	// the bounce/requeue timer serials let a restore re-claim them (0:
+	// none pending).
+	slot       int
+	bounceSer  uint64
+	requeueSer uint64
 }
 
 func (s *Server) getDiskOp() *diskOp {
@@ -341,14 +342,14 @@ func (s *Server) getDiskOp() *diskOp {
 		op = &diskOp{s: s}
 		op.onDone = func(ok bool) {
 			// Disk completions arrive from the disk subsystem's context;
-			// bounce them through the mailbox. The handle is retained only
-			// in snapshot-tagged (sim) worlds: there the disk context is the
+			// bounce them through the mailbox. The serial is kept only in
+			// snapshot-tagged (sim) worlds: there the disk context is the
 			// single sim goroutine, while on a live stack this closure runs
 			// on a real timer goroutine and the write would race putDiskOp.
 			op.ok = ok
-			t := op.s.env.Clock().AfterFunc(0, op.bounce)
+			ser := clock.Schedule(op.s.env.Clock(), 0, op.bounce)
 			if op.s.diskTag != nil {
-				op.bounceT = t
+				op.bounceSer = ser
 			}
 		}
 		op.bounce = func() { op.s.diskDone(op) }
@@ -356,9 +357,9 @@ func (s *Server) getDiskOp() *diskOp {
 			// Queue space freed: unblock the main thread, then retry this same
 			// operation as its own work item.
 			op.s.env.Resume()
-			t := op.s.env.Clock().AfterFunc(0, op.requeue)
+			ser := clock.Schedule(op.s.env.Clock(), 0, op.requeue)
 			if op.s.diskTag != nil {
-				op.requeueT = t
+				op.requeueSer = ser
 			}
 		}
 		op.requeue = func() { op.s.diskRead(op) }
@@ -377,7 +378,7 @@ func (s *Server) putDiskOp(op *diskOp) {
 	s.diskOps = s.diskOps[:last]
 	op.st = nil
 	op.peerServe = false
-	op.bounceT, op.requeueT = nil, nil
+	op.bounceSer, op.requeueSer = 0, 0
 	s.diskFree = append(s.diskFree, op)
 }
 
@@ -477,7 +478,7 @@ func (s *Server) finish(st *reqState, responded bool) {
 		op := s.getAdmitOp()
 		op.conn, op.msg = next.conn, next.msg
 		cnet.RetainConn(op.conn)
-		op.runT = s.env.Clock().AfterFunc(0, op.run)
+		op.runSer = clock.Schedule(s.env.Clock(), 0, op.run)
 	}
 }
 
@@ -488,10 +489,10 @@ type admitOp struct {
 	msg  *ReqMsg
 	run  func()
 
-	// Snapshot identity: slot indexes s.admitOps while live; runT is the
-	// retained deferred-admission timer handle.
-	slot int
-	runT timerHandle
+	// Snapshot identity: slot indexes s.admitOps while live; runSer is
+	// the deferred-admission timer's serial.
+	slot   int
+	runSer uint64
 }
 
 func (s *Server) getAdmitOp() *admitOp {
@@ -525,7 +526,7 @@ func (s *Server) putAdmitOp(op *admitOp) {
 	// The pin on op.conn is dropped by op.run after admit, not here: run
 	// is the only caller, and it still uses the conn after recycling the
 	// record.
-	op.conn, op.msg, op.runT = nil, nil, nil
+	op.conn, op.msg, op.runSer = nil, nil, 0
 	s.admitFree = append(s.admitFree, op)
 }
 

@@ -2,9 +2,7 @@ package server
 
 import (
 	"sort"
-	"time"
 
-	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/snapio"
 	"press/internal/trace"
@@ -17,8 +15,9 @@ import (
 // environment, re-registers its listeners, re-attaches handlers to every
 // restored connection, and re-claims its pending timers by serial.
 //
-// Phase 1 covers the INDEP and COOP(+ring) configurations; a server with
-// queue monitoring or an external membership view refuses to snapshot.
+// Queue monitoring state rides at the end of the section; an external
+// membership view is restored by its owner and handed to Restore, which
+// re-subscribes the server to it.
 
 // RegisterMessages registers every PRESS wire message with the snapshot
 // codec, so mailbox entries, connection buffers, and send queues can
@@ -153,38 +152,62 @@ func decNodes(d *snapio.Decoder) []cnet.NodeID {
 	return out
 }
 
-// timerSerial extracts the proc-clock serial from a retained handle.
-func timerSerial(h any, what string) uint64 {
-	ts, ok := h.(interface{ TimerSerial() uint64 })
-	if !ok {
-		snapio.Failf("server: %s handle %T carries no timer serial", what, h)
+// saveRetries writes a peer's redial timers: the latest one armed
+// (pending or spent) and the earlier ones still pending. One varint
+// packs the shape — 0: none, 1: the latest, spent, otherwise 2 +
+// (latest pending) + 2×(earlier pending) — so the usual shapes keep the
+// one-byte layout of a single retained handle.
+func saveRetries(e *snapio.Encoder, p *peer) {
+	if p.retry == nil {
+		e.U64(0)
+		return
 	}
-	return ts.TimerSerial()
+	var older []*retryTimer
+	pending := false
+	for _, rt := range p.retries {
+		if rt == p.retry {
+			pending = true
+		} else {
+			older = append(older, rt)
+		}
+	}
+	code := uint64(1)
+	if pending || len(older) > 0 {
+		code = 2 + 2*uint64(len(older))
+		if pending {
+			code++
+		}
+	}
+	e.U64(code)
+	e.U64(p.retry.serial)
+	for _, rt := range older {
+		e.U64(rt.serial)
+	}
 }
 
-func encConn(ctx *snapio.Ctx, c cnet.Conn) {
-	ctx.Enc.Bool(c != nil)
-	if c != nil {
-		ctx.Enc.U64(ctx.Conns.Ref(c))
+// loadRetries re-claims saveRetries' timers.
+func loadRetries(d *snapio.Decoder, env cnet.RestoreEnv, p *peer) {
+	code := d.U64()
+	if code == 0 {
+		return
 	}
-}
-
-func decConn(ctx *snapio.Ctx) cnet.Conn {
-	if !ctx.Dec.Bool() {
-		return nil
+	restore := func(serial uint64) *retryTimer {
+		rt := &retryTimer{p: p, serial: serial}
+		rt.h = env.RestoreTimer(serial, rt.fire)
+		return rt
 	}
-	ref := ctx.Dec.U64()
-	c, ok := ctx.Conns.Obj(ref).(cnet.Conn)
-	if !ok {
-		snapio.Failf("server: conn ref %d is not a conn", ref)
+	p.retry = restore(d.U64())
+	if code == 1 {
+		return
 	}
-	return c
-}
-
-func encTimer(e *snapio.Encoder, h any, what string) {
-	e.Bool(h != nil)
-	if h != nil {
-		e.U64(timerSerial(h, what))
+	if code > 1<<17 {
+		snapio.Failf("server: peer %d retry shape %d out of range", p.id, code)
+	}
+	for n := (code - 2) / 2; n > 0; n-- {
+		p.retries = append(p.retries, restore(d.U64()))
+	}
+	if (code-2)%2 == 1 {
+		p.retries = append(p.retries, p.retry)
 	}
 }
 
@@ -193,12 +216,6 @@ func encTimer(e *snapio.Encoder, h any, what string) {
 // table references. Pending disk reads register their continuation
 // records in ctx.Owners for the disk section, which saves later.
 func (s *Server) SaveState(ctx *snapio.Ctx) {
-	if s.qm != nil {
-		snapio.Failf("server %d: snapshotting with queue monitoring is not supported yet", s.cfg.Self)
-	}
-	if s.memb != nil {
-		snapio.Failf("server %d: snapshotting with a membership view is not supported yet", s.cfg.Self)
-	}
 	e := ctx.Enc
 	e.Bool(s.joined)
 	e.U64(s.nextID)
@@ -253,9 +270,9 @@ func (s *Server) SaveState(ctx *snapio.Ctx) {
 	for _, n := range peerIDs {
 		p := s.peers[n]
 		e.I64(int64(n))
-		encConn(ctx, p.conn)
+		cnet.SaveConn(ctx, p.conn)
 		e.Bool(p.dialing)
-		encTimer(e, p.retry, "peer retry")
+		saveRetries(e, p)
 		e.Int(p.load)
 		e.Int(p.qlen())
 		for i := p.sendHead; i < len(p.sendQ); i++ {
@@ -297,14 +314,14 @@ func (s *Server) SaveState(ctx *snapio.Ctx) {
 		rs := s.inflight[id]
 		e.U64(rs.id)
 		e.I64(int64(rs.doc))
-		encConn(ctx, rs.client)
+		cnet.SaveConn(ctx, rs.client)
 		e.I64(int64(rs.forwardedTo))
 		e.U64(rs.gen)
 	}
 
 	e.Int(s.QueuedAccepts())
 	for i := s.acceptHead; i < len(s.acceptQ); i++ {
-		encConn(ctx, s.acceptQ[i].conn)
+		cnet.SaveConn(ctx, s.acceptQ[i].conn)
 		ctx.Msgs.Encode(e, s.acceptQ[i].msg)
 	}
 
@@ -325,15 +342,15 @@ func (s *Server) SaveState(ctx *snapio.Ctx) {
 			}
 			e.U64(op.stGen)
 		}
-		encTimer(e, op.bounceT, "disk bounce")
-		encTimer(e, op.requeueT, "disk requeue")
+		cnet.SaveSerial(e, op.bounceSer)
+		cnet.SaveSerial(e, op.requeueSer)
 	}
 
 	e.Int(len(s.admitOps))
 	for _, op := range s.admitOps {
-		encConn(ctx, op.conn)
+		cnet.SaveConn(ctx, op.conn)
 		ctx.Msgs.Encode(e, op.msg)
-		encTimer(e, op.runT, "deferred admission")
+		cnet.SaveSerial(e, op.runSer)
 	}
 
 	r := &s.ring
@@ -342,18 +359,13 @@ func (s *Server) SaveState(ctx *snapio.Ctx) {
 	e.I64(int64(r.succ))
 	e.Dur(r.lastHB)
 	if r.enabled {
-		hb, ok := r.hb.(interface {
-			Stopped() bool
-			PendingTimer() clock.Timer
-		})
-		if !ok {
-			snapio.Failf("server %d: ring ticker %T is not restorable", s.cfg.Self, r.hb)
-		}
-		e.Bool(hb.Stopped())
-		encTimer(e, hb.PendingTimer(), "ring heartbeat")
+		cnet.SaveTicker(e, r.hb, "ring heartbeat")
 	}
 
-	encTimer(e, s.joinTimer, "join timeout")
+	cnet.SaveTimer(e, s.joinTimer, "join timeout")
+	if s.qm != nil {
+		s.qm.SaveState(e)
+	}
 }
 
 // SaveHusk serializes the post-mortem observables of a dead incarnation.
@@ -395,55 +407,49 @@ func RestoreHusk(ctx *snapio.Ctx) *Server {
 	}
 	s.sorted = decNodes(d)
 	for _, n := range s.sorted {
-		s.viewAdd(n)
+		s.viewAdd(checkNode(n))
 	}
 	for k := d.Count(1 << 16); k > 0; k-- {
-		n := cnet.NodeID(d.I64())
-		s.setPeer(n, &peer{id: n, sendQ: make([]outMsg, d.Int())})
+		n := checkNode(cnet.NodeID(d.I64()))
+		s.setPeer(n, &peer{id: n, sendQ: make([]outMsg, d.Count(1<<20))})
 	}
 	return s
 }
 
-// RestoreEnv is the process environment surface the restore path needs:
-// the normal cnet.Env plus the machine's restore registrations (implemented
-// by machine.Env during a restore; structural so this package does not
-// import machine).
-type RestoreEnv interface {
-	cnet.Env
-	RestoreTimer(serial uint64, fn func()) clock.Timer
-	RestoreTicker(period time.Duration, fn func(), stopped bool) clock.Ticker
-	RestoreDialer(to cnet.NodeID, port string, h cnet.StreamHandlers, result func(cnet.Conn, error))
-	RestoreConn(c cnet.Conn, h cnet.StreamHandlers)
-	RestoreConnList() []cnet.Conn
+// maxNodeID bounds the server node IDs a snapshot may name: the view and
+// peer tables are dense by ID.
+const maxNodeID = 1 << 16
+
+// checkNode rejects a corrupt server node ID before it sizes a table.
+func checkNode(n cnet.NodeID) cnet.NodeID {
+	if n < 0 || n >= maxNodeID {
+		snapio.Failf("server: node %d out of range", n)
+	}
+	return n
 }
 
-// decTimer restores a retained timer handle: nil when none was saved,
-// otherwise re-claimed by serial (a live pending timer re-arms at its
-// exact kernel slot; a spent or stopped one yields an inert handle).
-func decTimer(d *snapio.Decoder, env RestoreEnv, fn func()) timerHandle {
-	if !d.Bool() {
-		return nil
+// checkDoc rejects a corrupt document ID before it indexes a table.
+func (s *Server) checkDoc(doc trace.DocID) trace.DocID {
+	if doc < 0 || int(doc) >= s.cfg.Catalog.Docs {
+		snapio.Failf("server %d: document %d out of range", s.cfg.Self, doc)
 	}
-	return env.RestoreTimer(d.U64(), fn)
+	return doc
 }
 
 // Restore rebuilds a server from SaveState inside a snapshot restore:
 // the constructed server re-registers its listeners on env (registration
 // only — no events), loads its protocol state, re-attaches stream
 // handlers to every restored connection, and re-claims its timers.
-func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ctx *snapio.Ctx) *Server {
-	if memb != nil {
-		snapio.Failf("server: restoring with a membership view is not supported yet")
-	}
+func Restore(cfg Config, env cnet.RestoreEnv, disk DiskArray, memb MembershipView, ctx *snapio.Ctx) *Server {
 	s := newServer(cfg, env, disk, memb)
-	if s.qm != nil {
-		snapio.Failf("server %d: restoring with queue monitoring is not supported yet", s.cfg.Self)
-	}
 	s.env.Listen(PortHTTP, s.acceptClient)
 	if s.cfg.Cooperative {
 		s.env.Listen(PortPress, s.acceptPeer)
 		s.env.BindDatagram(PortControl, s.onControl)
 		s.env.BindDatagram(PortHB, s.onHeartbeat)
+		if s.memb != nil {
+			s.memb.Subscribe(s.reconcileMembership)
+		}
 	}
 
 	d := ctx.Dec
@@ -457,13 +463,13 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 	}
 
 	for _, n := range decNodes(d) {
-		s.viewAdd(n)
+		s.viewAdd(checkNode(n))
 	}
 
-	nd := d.Count(1 << 24)
+	nd := d.Count(s.cfg.Catalog.Docs)
 	docs := make([]trace.DocID, nd)
 	for i := range docs {
-		docs[i] = trace.DocID(d.I64())
+		docs[i] = s.checkDoc(trace.DocID(d.I64()))
 	}
 	// Docs listed MRU-first; inserting oldest-first reproduces the order.
 	for i := len(docs) - 1; i >= 0; i-- {
@@ -480,21 +486,18 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 			s.dir.wide[doc] = mask
 		}
 	} else {
-		for k := d.Count(1 << 24); k > 0; k-- {
-			doc := trace.DocID(d.I64())
-			if doc < 0 || doc >= 1<<24 {
-				snapio.Failf("directory doc %d out of range", doc)
-			}
+		for k := d.Count(s.cfg.Catalog.Docs); k > 0; k-- {
+			doc := s.checkDoc(trace.DocID(d.I64()))
 			s.dir.setMask(doc, d.U64())
 		}
 	}
 
 	for k := d.Count(1 << 16); k > 0; k-- {
-		p := s.peer(cnet.NodeID(d.I64()))
-		p.conn = decConn(ctx)
+		p := s.peer(checkNode(cnet.NodeID(d.I64())))
+		p.conn = cnet.LoadConn(ctx)
 		cnet.RetainConn(p.conn) // no-op on snapshot-built conns; keeps the pin balanced
 		p.dialing = d.Bool()
-		p.retry = decTimer(d, env, p.redial)
+		loadRetries(d, env, p)
 		p.load = d.Int()
 		for q := d.Count(1 << 20); q > 0; q-- {
 			om := outMsg{m: ctx.Msgs.Decode(d), size: d.Int(), isReq: d.Bool(), reqID: d.U64()}
@@ -503,9 +506,10 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 				p.reqInQ++
 			}
 		}
-		if p.dialing {
-			env.RestoreDialer(p.id, PortPress, p.h, p.onDial)
-		}
+		// Every dial to the peer reports to the same callbacks, including
+		// one a teardown abandoned (p.dialing cleared) that is still in
+		// flight or has its result in the mailbox.
+		env.RestoreDialer(p.id, PortPress, p.h, p.onDial)
 	}
 
 	for k := d.Count(1 << 16); k > 0; k-- {
@@ -521,7 +525,7 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 		rs := &reqState{
 			id:          d.U64(),
 			doc:         trace.DocID(d.I64()),
-			client:      decConn(ctx),
+			client:      cnet.LoadConn(ctx),
 			forwardedTo: cnet.NodeID(d.I64()),
 			gen:         d.U64(),
 		}
@@ -533,7 +537,7 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 	}
 
 	for k := d.Count(1 << 20); k > 0; k-- {
-		pr := pendingReq{conn: decConn(ctx)}
+		pr := pendingReq{conn: cnet.LoadConn(ctx)}
 		pr.msg, _ = ctx.Msgs.Decode(d).(*ReqMsg)
 		s.acceptQ = append(s.acceptQ, pr)
 	}
@@ -565,17 +569,17 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 				op.st = &reqState{forwardedTo: cnet.None, gen: op.stGen + 1}
 			}
 		}
-		op.bounceT = decTimer(d, env, op.bounce)
-		op.requeueT = decTimer(d, env, op.requeue)
+		op.bounceSer = cnet.LoadSerial(d, env, op.bounce)
+		op.requeueSer = cnet.LoadSerial(d, env, op.requeue)
 		ctx.Owners.Put(ownerID, op)
 	}
 
 	for k := d.Count(1 << 20); k > 0; k-- {
 		op := s.getAdmitOp()
-		op.conn = decConn(ctx)
+		op.conn = cnet.LoadConn(ctx)
 		cnet.RetainConn(op.conn) // no-op on snapshot-built conns; keeps the pin balanced with putAdmitOp
 		op.msg, _ = ctx.Msgs.Decode(d).(*ReqMsg)
-		op.runT = decTimer(d, env, op.run)
+		op.runSer = cnet.LoadSerial(d, env, op.run)
 	}
 
 	r := &s.ring
@@ -585,22 +589,13 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 	r.succ = cnet.NodeID(d.I64())
 	r.lastHB = d.Dur()
 	if r.enabled {
-		stopped := d.Bool()
-		hb := env.RestoreTicker(s.cfg.HeartbeatPeriod, r.tick, stopped)
-		rt, ok := hb.(interface {
-			FireFunc() func()
-			AdoptTimer(clock.Timer)
-		})
-		if !ok {
-			snapio.Failf("server %d: restored ring ticker %T lacks a timer-adoption surface", s.cfg.Self, hb)
-		}
-		if t := decTimer(d, env, rt.FireFunc()); t != nil {
-			rt.AdoptTimer(t)
-		}
-		r.hb = hb
+		r.hb = cnet.LoadTicker(d, env, s.cfg.HeartbeatPeriod, r.tick, "ring heartbeat")
 	}
 
-	s.joinTimer = decTimer(d, env, s.joinTimeout)
+	s.joinTimer = cnet.LoadTimer(d, env, s.joinTimeout)
+	if s.qm != nil {
+		s.qm.LoadState(d)
+	}
 
 	// Re-attach stream handlers to every connection the process carried
 	// across the snapshot: inbound peer streams get the shared peer
@@ -618,7 +613,7 @@ func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ct
 			env.RestoreConn(c, peerConns[c].h)
 		default:
 			if n, inbound := s.inboundFrom[c]; inbound {
-				env.RestoreConn(c, s.inboundHandlers(&inPeer{from: n, known: true}))
+				env.RestoreConn(c, s.inboundHandlers(&inPeer{from: n, known: n != cnet.None}))
 			} else {
 				env.RestoreConn(c, s.clientH)
 			}

@@ -87,19 +87,6 @@ func (d *Disk) SetFaulty(f bool) {
 	}
 }
 
-// Probe issues a direct SCSI health check, the way the FME daemon does
-// through the SCSI generic interface: it bypasses the request queue, so it
-// works even when the queue is full and all helper threads are stuck.
-// done(false) fires after `timeout` on a faulty disk, done(true) after one
-// service time otherwise.
-func (d *Disk) Probe(timeout time.Duration, done func(healthy bool)) {
-	if d.faulty {
-		d.sim.After(timeout, func() { done(false) })
-		return
-	}
-	d.sim.After(d.serviceTime(), func() { done(!d.faulty) })
-}
-
 func (d *Disk) serviceTime() time.Duration {
 	t := d.mean
 	if d.jitter > 0 {
@@ -254,28 +241,63 @@ func (a *Array) AnyFaulty() bool {
 	return false
 }
 
-// Probe health-checks every device; done(false) as soon as one reports
-// unhealthy, done(true) once all pass.
+// Probe health-checks every device the way the FME daemon does through
+// the SCSI generic interface: it bypasses the request queue, so it works
+// even when the queue is full and all helper threads are stuck. A device
+// faulty when probed answers after timeout, a healthy one after one
+// service time; done(false) fires as soon as one answers unhealthy,
+// done(true) once all pass. The answers are callback-free kernel events,
+// so a snapshot can carry a probe in flight (SaveProbes); the next owner
+// tag (SetNextOwner) names the caller that re-supplies done on restore.
 func (a *Array) Probe(timeout time.Duration, done func(healthy bool)) {
-	remaining := len(a.disks)
-	reported := false
+	op := &probeOp{done: done, owner: a.nextOwner, remaining: len(a.disks)}
+	a.nextOwner = nil
 	for _, d := range a.disks {
-		d.Probe(timeout, func(h bool) {
-			if reported {
-				return
-			}
-			if !h {
-				reported = true
-				done(false)
-				return
-			}
-			remaining--
-			if remaining == 0 {
-				reported = true
-				done(true)
-			}
-		})
+		r := &devProbe{op: op, a: a, d: d, faulty: d.faulty}
+		delay := timeout
+		if !d.faulty {
+			delay = d.serviceTime()
+		}
+		a.sim.AfterArg(delay, devProbeFire, r)
 	}
+}
+
+// probeOp aggregates one Array.Probe over the devices.
+type probeOp struct {
+	done      func(healthy bool) //availlint:skipfield done caller callback, re-supplied by the owner on restore
+	owner     any                //availlint:skipfield owner snapshot identity, saved as an owner reference
+	remaining int
+	reported  bool
+}
+
+func (op *probeOp) report(h bool) {
+	if op.reported {
+		return
+	}
+	if !h {
+		op.reported = true
+		op.done(false)
+		return
+	}
+	op.remaining--
+	if op.remaining == 0 {
+		op.reported = true
+		op.done(true)
+	}
+}
+
+// devProbe is one device's pending answer; a healthy device answers with
+// its health at that moment.
+type devProbe struct {
+	op     *probeOp
+	a      *Array //availlint:skipfield a owning array, known to the restoring section
+	d      *Disk
+	faulty bool
+}
+
+func devProbeFire(arg any) {
+	r := arg.(*devProbe)
+	r.op.report(!r.faulty && !r.d.faulty)
 }
 
 // start dispatches o on a free helper thread.

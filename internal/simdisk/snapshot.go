@@ -149,3 +149,88 @@ func (a *Array) LoadState(ctx *snapio.Ctx) {
 		a.sim.RestoreAtArg(at, seq, svcDone, r)
 	}
 }
+
+// ProbeOwner re-supplies the completion callback of a restored probe.
+type ProbeOwner interface {
+	RestoreProbeDone() func(healthy bool)
+}
+
+// SaveProbes writes every device probe in flight on the array, claiming
+// their kernel events. A probe whose verdict is still out names its
+// owner, which must already be registered in ctx.Owners; one already
+// reported needs no callback.
+func (a *Array) SaveProbes(ctx *snapio.Ctx) {
+	e := ctx.Enc
+	evs := ctx.ClaimWhere(func(ev snapio.PendingEvent) bool {
+		if ev.AFn == nil || snapio.FnPtr(ev.AFn) != snapio.FnPtr(devProbeFire) {
+			return false
+		}
+		return ev.Arg.(*devProbe).a == a
+	})
+	ops := map[*probeOp]int{}
+	var order []*probeOp
+	for _, ev := range evs {
+		op := ev.Arg.(*devProbe).op
+		if _, ok := ops[op]; !ok {
+			ops[op] = len(order)
+			order = append(order, op)
+		}
+	}
+	e.Int(len(order))
+	for _, op := range order {
+		e.Int(op.remaining)
+		e.Bool(op.reported)
+		if !op.reported {
+			e.U64(ownerRef(ctx, op.owner, "disk probe"))
+		}
+	}
+	e.Int(len(evs))
+	for _, ev := range evs {
+		r := ev.Arg.(*devProbe)
+		e.Dur(ev.At)
+		e.U64(ev.Seq)
+		e.Int(ops[r.op])
+		e.Int(a.devIndex(r.d))
+		e.Bool(r.faulty)
+	}
+}
+
+// LoadProbes re-arms SaveProbes' device probes at their exact kernel
+// slots. Owner sections must have loaded first.
+func (a *Array) LoadProbes(ctx *snapio.Ctx) {
+	d := ctx.Dec
+	var ops []*probeOp
+	for k := d.Count(1 << 16); k > 0; k-- {
+		op := &probeOp{remaining: d.Int(), reported: d.Bool()}
+		if !op.reported {
+			owner := ctx.Owners.Obj(d.U64())
+			po, ok := owner.(ProbeOwner)
+			if !ok {
+				snapio.Failf("simdisk: probe owner %T cannot restore a probe", owner)
+			}
+			op.owner, op.done = owner, po.RestoreProbeDone()
+		}
+		ops = append(ops, op)
+	}
+	for k := d.Count(1 << 16); k > 0; k-- {
+		at := d.Dur()
+		seq := d.U64()
+		oi, di := d.Int(), d.Int()
+		if oi < 0 || oi >= len(ops) || di < 0 || di >= len(a.disks) {
+			snapio.Failf("simdisk: probe reference (%d, %d) out of range", oi, di)
+		}
+		r := &devProbe{op: ops[oi], a: a, d: a.disks[di], faulty: d.Bool()}
+		a.sim.RestoreAtArg(at, seq, devProbeFire, r)
+	}
+}
+
+// devIndex returns dev's position in the array.
+func (a *Array) devIndex(dev *Disk) int {
+	for i, d := range a.disks {
+		if d == dev {
+			return i
+		}
+	}
+	snapio.Failf("simdisk: probe on a foreign device")
+	return -1
+}

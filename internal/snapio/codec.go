@@ -203,3 +203,17 @@ func (d *Decoder) Count(max int) int {
 	}
 	return n
 }
+
+// Catch converts the Failf panic protocol into an ordinary error at a
+// package boundary: deferred by Take/Restore-style entry points, it
+// stores a recovered *SnapError in *err. Any other panic is a program
+// bug and propagates unchanged.
+func Catch(err *error) {
+	if r := recover(); r != nil {
+		se, ok := r.(*SnapError)
+		if !ok {
+			panic(r)
+		}
+		*err = se
+	}
+}

@@ -7,8 +7,9 @@
 // so an episode restored at time T produces the same event log and
 // metrics series as the uninterrupted run from T onward.
 //
-// Phase 1 covers the INDEP and COOP versions (no front-end tier,
-// membership, qmon or FME daemons). The blob is self-describing: an
+// The engine covers every version from INDEP through FME (front-end
+// tier, membership, queue monitoring, FME daemons); S-FME, C-MON and the
+// redundant front-end pair are refused. The blob is self-describing: an
 // envelope (format version, experiment version, options, resolved
 // offered rate, capture time) followed by the harness world stream
 // (see harness.SaveWorld for the section order).
@@ -20,8 +21,6 @@ import (
 	"time"
 
 	"press/internal/harness"
-	"press/internal/server"
-	"press/internal/simnet"
 	"press/internal/snapio"
 )
 
@@ -61,32 +60,6 @@ func (s *Snap) Size() int { return len(s.blob) }
 // blob. Two captures hash equal iff their worlds are byte-identical.
 func (s *Snap) Hash() string { return s.hash }
 
-// newCtx builds the shared save/load context: connection references
-// resolve through blank simnet halves (the connection table is one of
-// the last sections), and the wire-message codec knows every server
-// message that can sit in a buffer or mailbox.
-func newCtx() *snapio.Ctx {
-	msgs := snapio.NewMsgCodec()
-	server.RegisterMessages(msgs)
-	return &snapio.Ctx{
-		Conns:  snapio.NewRefTable(simnet.BlankConn),
-		Owners: snapio.NewRefTable(nil),
-		Msgs:   msgs,
-	}
-}
-
-// recoverSnap converts the snapio.Failf panic protocol into an ordinary
-// error at the package boundary.
-func recoverSnap(err *error) {
-	if r := recover(); r != nil {
-		se, ok := r.(*snapio.SnapError)
-		if !ok {
-			panic(r)
-		}
-		*err = se
-	}
-}
-
 func encOptions(e *snapio.Encoder, o harness.Options) {
 	e.I64(o.Seed)
 	e.Int(o.Nodes)
@@ -120,8 +93,8 @@ func decOptions(d *snapio.Decoder) harness.Options {
 // Take captures the cluster's complete state. extra, when non-nil,
 // appends driver state at the world stream's extra slot.
 func Take(c *harness.Cluster, extra Extra) (s *Snap, err error) {
-	defer recoverSnap(&err)
-	ctx := newCtx()
+	defer snapio.Catch(&err)
+	ctx := harness.NewSnapCtx()
 	ctx.Enc = &snapio.Encoder{}
 	e := ctx.Enc
 	e.Str(magic)
@@ -152,7 +125,7 @@ func Take(c *harness.Cluster, extra Extra) (s *Snap, err error) {
 // Load wraps a serialized snapshot, validating and parsing only the
 // envelope; the world stream is decoded by Restore.
 func Load(data []byte) (s *Snap, err error) {
-	defer recoverSnap(&err)
+	defer snapio.Catch(&err)
 	d := snapio.NewDecoder(data)
 	if d.Str() != magic {
 		snapio.Failf("not a press snapshot (bad magic)")
@@ -179,8 +152,8 @@ func Load(data []byte) (s *Snap, err error) {
 // snapshot itself is never consumed and can be restored any number of
 // times.
 func (s *Snap) Restore(extra func(*harness.Cluster, *snapio.Ctx)) (c *harness.Cluster, err error) {
-	defer recoverSnap(&err)
-	ctx := newCtx()
+	defer snapio.Catch(&err)
+	ctx := harness.NewSnapCtx()
 	d := snapio.NewDecoder(s.blob)
 	ctx.Dec = d
 	if d.Str() != magic {

@@ -366,8 +366,8 @@ func ChaosSeeds(n int) []int64                       { return chaos.Seeds(n) }
 // deployment into a compact hash-addressed blob and rehydrate any number
 // of independent forks. A restored world continues byte-identically —
 // same event log, same metrics series — which is what lets whole chaos
-// campaigns pay the warm ramp once instead of per seed. Phase 1 covers
-// the INDEP and COOP versions. See DESIGN.md §13.
+// campaigns pay the warm ramp once instead of per seed. Every version
+// from INDEP through FME is covered. See DESIGN.md §13.
 
 // Snapshot is one captured world: envelope (version, options, resolved
 // offered load, capture time) plus the serialized world stream, content-
